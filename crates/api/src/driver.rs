@@ -12,13 +12,13 @@ use radionet_graph::Graph;
 use radionet_journal::{Journal, JournalSummary, Recorder};
 use radionet_mobility::{MobileTopology, MobilityTrace};
 use radionet_sim::{
-    JournalSink, NetInfo, NullSink, PositionSource, ReceptionMode, Registry, Sim, SimStats,
-    Telemetry,
+    NetInfo, NullSink, Observer, PositionSource, ReceptionMode, Registry, Sim, SimStats, Telemetry,
 };
 use radionet_telemetry::Stopwatch;
 use radionet_traffic::TrafficReport;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Why a spec could not be run (or a sweep could not be recorded).
 #[derive(Debug)]
@@ -97,7 +97,8 @@ pub struct RunReport {
     pub traffic: Option<TrafficReport>,
 }
 
-/// One fully materialized cell, ready for a simulator of either sink type.
+/// One fully materialized cell, ready for a simulator under either
+/// observer.
 struct Materialized<'d> {
     task: &'d dyn Task,
     g: Graph,
@@ -108,17 +109,16 @@ struct Materialized<'d> {
     ctx: TaskCtx,
 }
 
-/// Assembles the [`RunReport`] all driver entry points share. Generic
-/// over the sink and telemetry handle so the journaled and instrumented
+/// Assembles the [`RunReport`] all driver entry points share (with no
+/// journal summary). Generic over the observer so the null and observed
 /// paths read the same accessors.
-fn assemble_report<J: JournalSink, M: Telemetry>(
+fn assemble_report<O: Observer>(
     spec: &RunSpec,
     g: &Graph,
     info: NetInfo,
     n_events: usize,
-    sim: &Sim<'_, RunTopology, J, M>,
+    sim: &Sim<'_, RunTopology, O>,
     outcome: TaskOutcome,
-    journal: Option<JournalSummary>,
 ) -> RunReport {
     RunReport {
         spec: spec.clone(),
@@ -138,7 +138,7 @@ fn assemble_report<J: JournalSink, M: Telemetry>(
         stats: *sim.stats(),
         rng_fingerprint: sim.rng_fingerprint(),
         mobility: sim.topology().mobile().map(MobileTopology::to_trace),
-        journal,
+        journal: None,
     }
 }
 
@@ -204,19 +204,21 @@ impl Driver {
     ///
     /// Pure: identical specs yield bit-identical reports (the scenario
     /// equivalence suite pins this against the pre-façade runner for the
-    /// whole catalogue, under both kernels). A spec's `journal` section is
-    /// ignored here — plain runs always execute on the zero-cost null
-    /// sink; use [`Driver::run_journaled`] to record.
+    /// whole catalogue, under the sparse and dense kernels). A spec's
+    /// `journal` section is ignored here — use [`Driver::run_journaled`]
+    /// to record. Without attached telemetry the run executes on the
+    /// zero-cost null observer.
     pub fn run(&self, spec: &RunSpec) -> Result<RunReport, RunError> {
-        match &self.tel {
+        match self.tel {
             None => self.run_plain(spec),
-            Some(tel) => self.run_timed(spec, tel),
+            Some(_) => Ok(self.run_observed(spec, false)?.0),
         }
     }
 
-    /// The uninstrumented hot path: `Sim` monomorphizes over
-    /// [`NoTelemetry`](radionet_sim::NoTelemetry), so every metrics site
-    /// compiles out (the E21 bench smoke pins the overhead at zero).
+    /// The unobserved hot path: `Sim` monomorphizes over the
+    /// [`NullObserver`](radionet_sim::NullObserver), so every journal and
+    /// metrics site compiles out (the E15 and E21 bench smokes pin the
+    /// overhead at zero).
     fn run_plain(&self, spec: &RunSpec) -> Result<RunReport, RunError> {
         let m = self.materialize(spec)?;
         let mut sim =
@@ -224,45 +226,15 @@ impl Driver {
                 .map_err(|e| RunError::InvalidSpec(e.to_string()))?;
         sim.set_kernel(spec.kernel);
         let outcome = m.task.run(&mut sim, &m.ctx);
-        Ok(assemble_report(spec, &m.g, m.info, m.n_events, &sim, outcome, None))
-    }
-
-    /// The instrumented path: identical pipeline, with the run split into
-    /// setup (materialization + simulator construction), simulate, and
-    /// report stages, each timed into `tel`; the simulator itself records
-    /// the kernel-level metrics through its telemetry handle.
-    fn run_timed(&self, spec: &RunSpec, tel: &Registry) -> Result<RunReport, RunError> {
-        let total = Stopwatch::start::<Registry>();
-        let setup = Stopwatch::start::<Registry>();
-        let m = self.materialize(spec)?;
-        let mut sim = Sim::try_instrumented(
-            &m.g,
-            m.topo,
-            m.info,
-            seeds::sim_seed(spec.seed),
-            m.reception,
-            NullSink,
-            tel.clone(),
-        )
-        .map_err(|e| RunError::InvalidSpec(e.to_string()))?;
-        sim.set_kernel(spec.kernel);
-        setup.stop(tel, "driver_setup_micros");
-        let simulate = Stopwatch::start::<Registry>();
-        let outcome = m.task.run_instrumented(&mut sim, &m.ctx);
-        simulate.stop(tel, "driver_simulate_micros");
-        let assemble = Stopwatch::start::<Registry>();
-        let report = assemble_report(spec, &m.g, m.info, m.n_events, &sim, outcome, None);
-        assemble.stop(tel, "driver_report_micros");
-        total.stop(tel, "driver_run_micros");
-        tel.count("driver_runs", 1);
-        Ok(report)
+        Ok(assemble_report(spec, &m.g, m.info, m.n_events, &sim, outcome))
     }
 
     /// Runs one spec with a live [`Recorder`], returning the report (its
     /// `journal` field filled with the recording's [`JournalSummary`]) and
     /// the frozen [`Journal`] itself. The journal embeds the spec, so
     /// [`replay`](crate::journal::replay) can re-drive it later from the
-    /// serialized document alone.
+    /// serialized document alone. Attached telemetry records the run as
+    /// [`Driver::run`] would.
     ///
     /// The spec's `journal` section selects the class filter and waypoint
     /// cadence; a missing section records everything with the derived
@@ -273,40 +245,74 @@ impl Driver {
     ///
     /// Same failure modes as [`Driver::run`].
     pub fn run_journaled(&self, spec: &RunSpec) -> Result<(RunReport, Journal), RunError> {
+        let (report, journal) = self.run_observed(spec, true)?;
+        Ok((report, journal.expect("a journaled run carries a recorder")))
+    }
+
+    /// The observed path behind telemetry, journaling, or both: the
+    /// pipeline of [`Driver::run_plain`] on the
+    /// [`Instrumented`](radionet_sim::Instrumented) observer,
+    /// with the run split into setup (materialization + simulator
+    /// construction), simulate, and report stages, each timed into the
+    /// attached telemetry; the simulator records its kernel-level metrics
+    /// and, when `journaled`, its events through the same observer.
+    fn run_observed(
+        &self,
+        spec: &RunSpec,
+        journaled: bool,
+    ) -> Result<(RunReport, Option<Journal>), RunError> {
+        // Without attached telemetry the timings go to a registry nobody reads.
+        let tel = self.tel.clone().unwrap_or_default();
+        let total = Stopwatch::start::<Registry>();
+        let setup = Stopwatch::start::<Registry>();
         let m = self.materialize(spec)?;
-        let jspec = spec.journal.clone().unwrap_or_default();
-        let mask = jspec.mask().map_err(RunError::InvalidSpec)?;
-        let cadence = jspec.cadence(m.task.timebase(&m.info));
-        let started = std::time::Instant::now();
-        let mut sim = Sim::try_with_journal(
+        let recorder = if journaled {
+            let jspec = spec.journal.clone().unwrap_or_default();
+            let mask = jspec.mask().map_err(RunError::InvalidSpec)?;
+            Recorder::new(mask, jspec.cadence(m.task.timebase(&m.info)))
+        } else {
+            NullSink.into()
+        };
+        let started = Instant::now();
+        let mut sim = Sim::try_instrumented(
             &m.g,
             m.topo,
             m.info,
             seeds::sim_seed(spec.seed),
             m.reception,
-            Recorder::new(mask, cadence),
+            recorder,
+            tel.clone(),
         )
         .map_err(|e| RunError::InvalidSpec(e.to_string()))?;
         sim.set_kernel(spec.kernel);
-        let outcome = m.task.run_recorded(&mut sim, &m.ctx);
-        let fingerprint = sim.rng_fingerprint();
-        let report = assemble_report(spec, &m.g, m.info, m.n_events, &sim, outcome, None);
-        let journal = sim.into_journal().into_journal(
-            concat!("radionet ", env!("CARGO_PKG_VERSION")),
-            spec.kernel.name(),
-            Some(spec.to_value()),
-            fingerprint,
-            started.elapsed().as_nanos() as u64,
-        );
-        let report = RunReport { journal: Some(journal.summary()), ..report };
+        setup.stop(&tel, "driver_setup_micros");
+        let simulate = Stopwatch::start::<Registry>();
+        let outcome = m.task.run_instrumented(&mut sim, &m.ctx);
+        simulate.stop(&tel, "driver_simulate_micros");
+        let assemble = Stopwatch::start::<Registry>();
+        let mut report = assemble_report(spec, &m.g, m.info, m.n_events, &sim, outcome);
+        let (recorder, _) = sim.into_observer();
+        let journal = journaled.then(|| {
+            recorder.into_journal(
+                concat!("radionet ", env!("CARGO_PKG_VERSION")),
+                spec.kernel.name(),
+                Some(spec.to_value()),
+                report.rng_fingerprint,
+                started.elapsed().as_nanos() as u64,
+            )
+        });
+        report.journal = journal.as_ref().map(Journal::summary);
+        assemble.stop(&tel, "driver_report_micros");
+        total.stop(&tel, "driver_run_micros");
+        tel.count("driver_runs", 1);
         Ok((report, journal))
     }
 
     /// Everything [`Driver::run`] does before a simulator exists:
     /// validation, task lookup, family instantiation, [`NetInfo`]
     /// measurement, dynamics materialization, and SINR position
-    /// resolution. Shared verbatim between the null-sink and recorded
-    /// entry points so a journaled run drives the exact same cell.
+    /// resolution. Shared verbatim between the null and observed paths so
+    /// a journaled or timed run drives the exact same cell.
     fn materialize(&self, spec: &RunSpec) -> Result<Materialized<'_>, RunError> {
         spec.validate().map_err(RunError::InvalidSpec)?;
         let task = self
@@ -481,7 +487,7 @@ impl Driver {
                 if block.is_empty() {
                     break 'sweep Ok(());
                 }
-                let chunk_t0 = self.tel.as_ref().map(|_| std::time::Instant::now());
+                let chunk_t0 = self.tel.as_ref().map(|_| Instant::now());
                 let reports: Vec<Result<RunReport, RunError>> =
                     block.par_iter().map(|spec| self.run(spec)).collect();
                 if let (Some(tel), Some(t0)) = (&self.tel, chunk_t0) {
@@ -658,6 +664,26 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One observed run can journal and time at once: telemetry sees the
+    /// run, and the report and journal match an untimed journaled run.
+    #[test]
+    fn journaled_run_carries_telemetry_without_changing_the_recording() {
+        use crate::JournalSpec;
+        let spec = RunSpec::new("broadcast", Family::Grid, 25)
+            .with_seed(3)
+            .with_journal(JournalSpec { classes: "all".into(), checkpoint_every: 8 });
+        let (plain_report, plain_journal) = Driver::standard().run_journaled(&spec).unwrap();
+        let tel = Registry::default();
+        let (report, mut journal) =
+            Driver::standard().with_telemetry(tel.clone()).run_journaled(&spec).unwrap();
+        let snap = tel.snapshot();
+        assert_eq!(snap.counter("driver_runs"), Some(1));
+        assert!(snap.counter("sim_phases").is_some_and(|n| n > 0), "no sim_phases recorded");
+        assert_eq!(report, plain_report);
+        journal.wall_nanos = plain_journal.wall_nanos;
+        assert_eq!(journal, plain_journal);
     }
 
     /// Sweeps through an instrumented driver count their cells and chunk

@@ -14,10 +14,10 @@ use radionet_sim::{Kernel, PositionSource, ReceptionMode};
 use radionet_traffic::TrafficSpec;
 use serde::{Deserialize, Serialize};
 
-/// What to record while a run executes (see `radionet-journal`). Absent
-/// from a spec (`RunSpec::journal = None`), the run executes on the
-/// zero-cost [`NullSink`](radionet_sim::NullSink) — the engine's journal
-/// branches fold away at compile time and nothing is recorded.
+/// What [`Driver::run_journaled`](crate::Driver::run_journaled) records
+/// (see `radionet-journal`). Absent from a spec (`RunSpec::journal =
+/// None`), it records every class at the derived default cadence;
+/// [`Driver::run`](crate::Driver::run) ignores the section either way.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JournalSpec {
     /// Comma-separated event classes to keep (`"radio,topology,phase,sched"`;

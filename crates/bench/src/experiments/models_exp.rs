@@ -13,7 +13,7 @@ use radionet_graph::granularity::{emek_bound, granularity};
 use radionet_graph::traversal::eccentricity;
 use radionet_primitives::decay::DecaySchedule;
 use radionet_primitives::flood::FloodProtocol;
-use radionet_sim::{NetInfo, ReceptionMode, Sim, SinrConfig};
+use radionet_sim::{NetInfo, ReceptionMode, Sim, SinrConfig, StaticTopology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,7 +90,7 @@ pub fn e13_models(scale: Scale) -> ExperimentRecord {
             ReceptionMode::Sinr(SinrConfig::for_unit_range(positions.clone(), 1.0)),
         ] {
             let name = mode.name();
-            let mut sim = Sim::with_reception(g, info, 5, mode);
+            let mut sim = Sim::with_topology(g, StaticTopology, info, 5, mode);
             let schedule = DecaySchedule::new(info.log_n());
             let mut states: Vec<FloodProtocol<u64>> = g
                 .nodes()

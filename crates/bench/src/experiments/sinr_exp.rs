@@ -30,7 +30,9 @@ use radionet_api::{Driver, Dynamics, RunSpec};
 use radionet_graph::families::Family;
 use radionet_graph::Graph;
 use radionet_primitives::decay::{DecayConfig, DecayProtocol, DecaySchedule};
-use radionet_sim::{FarFieldPolicy, Kernel, NetInfo, PhaseReport, ReceptionMode, Sim, SinrConfig};
+use radionet_sim::{
+    FarFieldPolicy, Kernel, NetInfo, PhaseReport, ReceptionMode, Sim, SinrConfig, StaticTopology,
+};
 use std::time::Instant;
 
 /// Transmitting-set size in the face-off (sparse physical activity).
@@ -54,7 +56,7 @@ fn faceoff_run(
     let mode = ReceptionMode::Sinr(
         SinrConfig::for_unit_range(positions.to_vec(), 1.0).with_far_field(far_field),
     );
-    let mut sim = Sim::with_reception(&g, info, 0xe18, mode);
+    let mut sim = Sim::with_topology(&g, StaticTopology, info, 0xe18, mode);
     sim.set_kernel(kernel);
     let stride = n / FACEOFF_SOURCES;
     let mut states: Vec<DecayProtocol<u64>> = (0..n)

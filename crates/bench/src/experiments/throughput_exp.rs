@@ -23,38 +23,36 @@ use radionet_analysis::table::f1;
 use radionet_analysis::{ExperimentRecord, RunRecord, Table};
 use radionet_graph::generators;
 use radionet_graph::Graph;
-use radionet_journal::{ClassMask, Recorder};
 use radionet_primitives::decay::{DecayConfig, DecayProtocol, DecaySchedule};
 use radionet_primitives::flood::FloodProtocol;
-use radionet_sim::{JournalSink, Kernel, NetInfo, PhaseReport, ReceptionMode, Sim, StaticTopology};
+use radionet_sim::{
+    Kernel, NetInfo, NullSink, Observer, PhaseReport, ReceptionMode, Registry, Sim, StaticTopology,
+};
 use std::time::Instant;
 
 /// Nodes in the kernel face-off (a 316×316 grid).
-const FACEOFF_SIDE: usize = 316;
+pub(super) const FACEOFF_SIDE: usize = 316;
 /// Transmitting-set size in the face-off (sparse activity).
 const FACEOFF_SOURCES: usize = 32;
 
-/// One timed face-off run; returns the report, RNG fingerprint and wall
-/// seconds.
+/// One timed face-off run on the null observer; returns the report, RNG
+/// fingerprint and wall seconds.
 fn faceoff_run(g: &Graph, info: NetInfo, kernel: Kernel, budget: u64) -> (PhaseReport, u64, f64) {
-    faceoff_sink(g, info, kernel, budget, radionet_sim::NullSink)
+    faceoff_on(Sim::new(g, info, 0xe15), kernel, budget)
 }
 
-/// [`faceoff_run`] under an explicit event sink — the journal-off overhead
-/// probe swaps in an empty-mask [`Recorder`] to price the instrumentation
-/// against the monomorphized-away [`NullSink`](radionet_sim::NullSink).
-fn faceoff_sink<J: JournalSink>(
-    g: &Graph,
-    info: NetInfo,
+/// The face-off workload on a prepared simulator under any observer (the
+/// E21 telemetry probe shares it); returns the report, RNG fingerprint and
+/// wall seconds.
+pub(super) fn faceoff_on<O: Observer>(
+    mut sim: Sim<'_, StaticTopology, O>,
     kernel: Kernel,
     budget: u64,
-    sink: J,
 ) -> (PhaseReport, u64, f64) {
+    let g = sim.graph();
+    let info = *sim.info();
     let schedule = DecaySchedule::new(info.log_n());
     let config = DecayConfig { iterations: u32::MAX / schedule.steps_per_iteration() };
-    let mut sim =
-        Sim::try_with_journal(g, StaticTopology, info, 0xe15, ReceptionMode::Protocol, sink)
-            .expect("protocol-mode construction is infallible");
     sim.set_kernel(kernel);
     let stride = g.n() / FACEOFF_SOURCES;
     let mut states: Vec<DecayProtocol<u64>> = g
@@ -152,14 +150,15 @@ pub fn e15_throughput(scale: Scale) -> ExperimentRecord {
         eprintln!("E15: WARNING: sparse/dense speedup {speedup:.1}x below the 5x bar");
     }
 
-    // Part 1b: journal-off overhead probe. The engine is generic over a
-    // JournalSink; with the default NullSink every emission site must
-    // monomorphize to dead code. Price the NullSink hot path against an
-    // *empty-mask* Recorder (sink live, every event filtered out) on the
-    // sparse face-off: min-of-N wall clocks, so scheduler noise cancels.
-    // Observing must not perturb — reports and RNG streams are asserted
-    // identical across sinks (hard); the wall-clock ratio check is soft at
-    // the 2% bar and hard only at 15%, same policy as the speedup bar.
+    // Part 1b: journal-off overhead probe. The engine is generic over an
+    // Observer; with the default NullObserver every emission site must
+    // monomorphize to dead code. Price that hot path against the live
+    // Instrumented observer with an *empty-mask* Recorder (every event
+    // filtered out at run time) and a registry on the sparse face-off:
+    // min-of-N wall clocks, so scheduler noise cancels. Observing must not
+    // perturb — reports and RNG streams are asserted identical across
+    // observers (hard); the wall-clock ratio check is soft at the 2% bar
+    // and hard only at 15%, same policy as the speedup bar.
     const PROBE_RUNS: usize = 5;
     // The sparse face-off finishes in single-digit milliseconds, far too
     // short to resolve a 2% ratio; the probe runs a longer budget so the
@@ -170,9 +169,18 @@ pub fn e15_throughput(scale: Scale) -> ExperimentRecord {
     let baseline = faceoff_run(&g, info, Kernel::Sparse, probe_budget);
     for _ in 0..PROBE_RUNS {
         let null = faceoff_run(&g, info, Kernel::Sparse, probe_budget);
-        let rec =
-            faceoff_sink(&g, info, Kernel::Sparse, probe_budget, Recorder::new(ClassMask::NONE, 0));
-        assert_eq!((&null.0, null.1), (&baseline.0, baseline.1), "NullSink run not reproducible");
+        let live = Sim::try_instrumented(
+            &g,
+            StaticTopology,
+            info,
+            0xe15,
+            ReceptionMode::Protocol,
+            NullSink,
+            Registry::default(),
+        )
+        .expect("protocol-mode construction is infallible");
+        let rec = faceoff_on(live, Kernel::Sparse, probe_budget);
+        assert_eq!((&null.0, null.1), (&baseline.0, baseline.1), "null observer not reproducible");
         assert_eq!(
             (&rec.0, rec.1),
             (&baseline.0, baseline.1),
@@ -192,24 +200,26 @@ pub fn e15_throughput(scale: Scale) -> ExperimentRecord {
             .metric("overhead", overhead),
     );
     record.note(format!(
-        "journal-off probe: NullSink {:.1} ms vs empty-mask Recorder {:.1} ms \
-         (min of {PROBE_RUNS}; {:+.1}% = NullSink relative to the live sink); \
-         reports and RNG streams identical across sinks",
+        "journal-off probe: null observer {:.1} ms vs Instrumented with an empty-mask \
+         Recorder {:.1} ms (min of {PROBE_RUNS}; {:+.1}% = null relative to live); \
+         reports and RNG streams identical across observers",
         null_wall * 1e3,
         rec_wall * 1e3,
         overhead * 1e2,
     ));
     if overhead > 0.02 {
         record.note(format!(
-            "WARNING: NullSink measured {:.1}% slower than an empty-mask Recorder — the \
+            "WARNING: the null observer measured {:.1}% slower than an empty-mask \
+             Instrumented one — the \
              zero-cost-when-off claim expects ~0; expected only under heavy host contention",
             overhead * 1e2
         ));
-        eprintln!("E15: WARNING: NullSink overhead {:.1}% above the 2% bar", overhead * 1e2);
+        eprintln!("E15: WARNING: null-observer overhead {:.1}% above the 2% bar", overhead * 1e2);
     }
     assert!(
         overhead < 0.15,
-        "NullSink costs {:.1}% over an empty-mask Recorder — instrumentation is no longer \
+        "the null observer costs {:.1}% over an empty-mask Instrumented one — \
+         instrumentation is no longer \
          compiled out of the journal-off hot path",
         overhead * 1e2
     );

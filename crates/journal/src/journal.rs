@@ -105,6 +105,14 @@ impl Recorder {
     }
 }
 
+/// A [`NullSink`](crate::NullSink) where a recorder is expected: an
+/// empty-mask recorder without waypoints, which keeps nothing.
+impl From<crate::NullSink> for Recorder {
+    fn from(_: crate::NullSink) -> Self {
+        Recorder::new(ClassMask::NONE, 0)
+    }
+}
+
 impl JournalSink for Recorder {
     const ENABLED: bool = true;
 

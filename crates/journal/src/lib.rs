@@ -1,8 +1,9 @@
 //! Event journal for the radionet simulation engine: a zero-cost-when-off
 //! observability layer.
 //!
-//! The engine (`radionet-sim`) is generic over a [`JournalSink`]. With the
-//! default [`NullSink`] every emission site monomorphizes to dead code —
+//! A [`JournalSink`] is the journal half of the engine's `Observer`
+//! (`radionet-sim`). With the default [`NullSink`] every emission site
+//! monomorphizes to dead code —
 //! the instrumented engine compiles to the same hot path as the
 //! uninstrumented one (the bench suite pins this with a no-regression
 //! guard). Swap in a [`Recorder`] and the engine streams compact

@@ -5,8 +5,8 @@ use crate::event::{EventClass, EventKind};
 
 /// Receiver of engine events.
 ///
-/// The engine is generic over its sink and every emission site is guarded
-/// by `if J::ENABLED`, a monomorphized constant — with [`NullSink`] (the
+/// The journal half of the engine's `Observer`: every emission site is
+/// guarded by `ENABLED`, a monomorphized constant — with [`NullSink`] (the
 /// default) the guard folds to `if false` and the whole instrumentation
 /// compiles out of the hot path. The E15 bench smoke pins this with a
 /// no-regression assertion.

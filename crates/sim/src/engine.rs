@@ -63,6 +63,7 @@
 //! dense reference always computes exact interference).
 
 use crate::injection::{injections_ordered, Injection};
+use crate::observer::{Instrumented, NullObserver, Observer};
 use crate::protocol::{Action, NetInfo, NodeCtx, Protocol, Wake};
 use crate::reception::{dist3, FarFieldPolicy, PositionSource, ReceptionMode, SinrConfig};
 use crate::stats::SimStats;
@@ -70,10 +71,10 @@ use crate::topology::{StaticTopology, TopologyView};
 use radionet_graph::spatial::SpatialGrid;
 use radionet_graph::{Graph, NodeId};
 use radionet_journal::{
-    CollisionInfo, DeliverInfo, EventClass, EventKind, GridInfo, HintInfo, JournalSink, NullSink,
-    PhaseEndInfo, PhaseInfo, StatusInfo, TransmitInfo,
+    CollisionInfo, DeliverInfo, EventClass, EventKind, GridInfo, HintInfo, JournalSink,
+    PhaseEndInfo, PhaseInfo, Recorder, StatusInfo, TransmitInfo,
 };
-use radionet_telemetry::{timed, NoTelemetry, Stopwatch, Telemetry};
+use radionet_telemetry::{timed, Registry, Stopwatch, Telemetry};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -408,28 +409,21 @@ impl SparseSched {
 /// once per simulated step and may change what the engine sees; see
 /// `radionet-scenario`.
 ///
-/// The third parameter is the observability hook: a [`JournalSink`] the
-/// kernels stream events through. The default [`NullSink`] has
-/// `ENABLED = false`, so every emission site monomorphizes to nothing —
-/// an uninstrumented `Sim` costs exactly what it did before the journal
-/// existed. Construct with [`Sim::try_with_journal`] (e.g. passing a
-/// `radionet_journal::Recorder`) to record.
-///
-/// The fourth parameter is the telemetry hook, built on the same
-/// monomorphization trick: a [`Telemetry`] handle the kernels time their
-/// phases through (phase wall time, topology-advance and
+/// The third parameter is the observability hook: one [`Observer`] that
+/// carries an event journal half (the kernels stream transmissions,
+/// receptions, status flips, phase boundaries and scheduler activity
+/// through it) and a metrics half (phase wall time, topology-advance and
 /// reception-resolution time, SINR grid rebuilds, scheduler ring/heap
-/// peaks). The default [`NoTelemetry`] compiles every site away; pass a
-/// `radionet_telemetry::Registry` via [`Sim::try_instrumented`] to
-/// record. Telemetry reads the wall clock and never steers: results are
-/// byte-identical with it on or off.
+/// peaks). Every emission site is guarded by a monomorphized constant, so
+/// the default [`NullObserver`] compiles all of it away — an
+/// uninstrumented `Sim` costs exactly what it did before observation
+/// existed. [`Sim::try_instrumented`] builds the live [`Instrumented`]
+/// observer from a `radionet_journal::Recorder` and a
+/// `radionet_telemetry::Registry`; take the recording back with
+/// [`Sim::into_observer`]. Observing reads the wall clock and never
+/// steers: results are byte-identical under every observer.
 #[derive(Debug)]
-pub struct Sim<
-    'g,
-    T: TopologyView = StaticTopology,
-    J: JournalSink = NullSink,
-    M: Telemetry = NoTelemetry,
-> {
+pub struct Sim<'g, T: TopologyView = StaticTopology, O: Observer = NullObserver> {
     graph: &'g Graph,
     topo: T,
     info: NetInfo,
@@ -464,74 +458,30 @@ pub struct Sim<
     /// of an in-place re-bucket.
     sinr_grid_lo: [f64; 3],
     sinr_grid_side: f64,
-    // Observability: the event sink and the zero-based index of the next
-    // phase (feeds PhaseStart/PhaseEnd events). With the default NullSink
-    // every use of `journal` compiles away.
-    journal: J,
+    // Observability: the observer and the zero-based index of the next
+    // phase (feeds PhaseStart/PhaseEnd events). With the default
+    // NullObserver every use of `obs` compiles away.
+    obs: O,
     phase: u64,
-    // Telemetry: wall-clock hooks, strictly outside the deterministic
-    // surface. With the default NoTelemetry every use compiles away.
-    tel: M,
 }
 
 impl<'g> Sim<'g> {
     /// Creates a simulation over `graph` with the given network estimates
     /// and master seed, under the paper's protocol model.
     pub fn new(graph: &'g Graph, info: NetInfo, seed: u64) -> Self {
-        Self::with_reception(graph, info, seed, ReceptionMode::Protocol)
-    }
-
-    /// Fallible form of [`Sim::new`] (infallible in practice — the
-    /// protocol model has nothing to validate — provided for symmetry so
-    /// driver layers can route every construction through one `?` path).
-    ///
-    /// # Errors
-    ///
-    /// Never fails; see [`Sim::try_with_reception`].
-    pub fn try_new(graph: &'g Graph, info: NetInfo, seed: u64) -> Result<Self, SimError> {
-        Self::try_with_reception(graph, info, seed, ReceptionMode::Protocol)
-    }
-
-    /// Creates a simulation under an explicit [`ReceptionMode`] (collision
-    /// detection or SINR; see the `reception` module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`Sim::try_with_reception`] errors.
-    pub fn with_reception(
-        graph: &'g Graph,
-        info: NetInfo,
-        seed: u64,
-        reception: ReceptionMode,
-    ) -> Self {
-        Self::with_topology(graph, StaticTopology, info, seed, reception)
-    }
-
-    /// Fallible form of [`Sim::with_reception`]: validates the SINR
-    /// configuration instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// See [`Sim::try_with_topology`].
-    pub fn try_with_reception(
-        graph: &'g Graph,
-        info: NetInfo,
-        seed: u64,
-        reception: ReceptionMode,
-    ) -> Result<Self, SimError> {
-        Self::try_with_topology(graph, StaticTopology, info, seed, reception)
+        Self::build(graph, StaticTopology, info, seed, ReceptionMode::Protocol, Default::default())
+            .expect("the protocol model has nothing to validate")
     }
 }
 
 impl<'g, T: TopologyView> Sim<'g, T> {
     /// Creates a simulation whose per-step topology is `topo`'s view over
-    /// `graph` (the dynamic-network entry point).
+    /// `graph`, under an explicit [`ReceptionMode`] (collision detection
+    /// or SINR; see the `reception` module docs).
     ///
     /// # Panics
     ///
-    /// Panics where [`Sim::try_with_topology`] errors (the message keeps
-    /// the historical "one position per node" wording for the count
-    /// mismatch).
+    /// Panics where [`Sim::try_with_topology`] errors.
     pub fn with_topology(
         graph: &'g Graph,
         topo: T,
@@ -539,13 +489,14 @@ impl<'g, T: TopologyView> Sim<'g, T> {
         seed: u64,
         reception: ReceptionMode,
     ) -> Self {
-        Self::try_with_topology(graph, topo, info, seed, reception)
+        Self::build(graph, topo, info, seed, reception, Default::default())
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible construction: validates the SINR configuration against the
-    /// graph and the topology view — the driver-facing entry point, so a
-    /// bad spec surfaces as a clean error instead of an engine panic.
+    /// Fallible form of [`Sim::with_topology`]: validates the SINR
+    /// configuration against the graph and the topology view — the
+    /// driver-facing entry point, so a bad spec surfaces as a clean error
+    /// instead of an engine panic.
     ///
     /// # Errors
     ///
@@ -563,40 +514,15 @@ impl<'g, T: TopologyView> Sim<'g, T> {
         seed: u64,
         reception: ReceptionMode,
     ) -> Result<Self, SimError> {
-        Sim::try_with_journal(graph, topo, info, seed, reception, NullSink)
+        Self::build(graph, topo, info, seed, reception, Default::default())
     }
 }
 
-impl<'g, T: TopologyView, J: JournalSink> Sim<'g, T, J> {
-    /// Fallible construction with an explicit event sink — the
-    /// observability entry point. Identical to
-    /// [`Sim::try_with_topology`] except that the engine streams events
-    /// (transmissions, receptions, status flips, phase boundaries,
-    /// scheduler activity) through `journal`; pass a
-    /// `radionet_journal::Recorder` to record a run, retrieve it with
-    /// [`Sim::into_journal`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Sim::try_with_topology`].
-    pub fn try_with_journal(
-        graph: &'g Graph,
-        topo: T,
-        info: NetInfo,
-        seed: u64,
-        reception: ReceptionMode,
-        journal: J,
-    ) -> Result<Self, SimError> {
-        Sim::try_instrumented(graph, topo, info, seed, reception, journal, NoTelemetry)
-    }
-}
-
-impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
-    /// Fallible construction with explicit event sink *and* telemetry
-    /// handle — the fully-general entry point the other constructors
-    /// delegate to. With a `radionet_telemetry::Registry` the kernels
-    /// record per-phase wall timings and scheduler sizes into it;
-    /// telemetry never affects results.
+impl<'g, T: TopologyView> Sim<'g, T, Instrumented> {
+    /// [`Sim::try_with_topology`] under the live [`Instrumented`]
+    /// observer: `journal` records the run (pass
+    /// [`NullSink`](crate::NullSink) to record nothing), `tel` times its
+    /// phases. Observing never affects results.
     ///
     /// # Errors
     ///
@@ -607,8 +533,22 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         info: NetInfo,
         seed: u64,
         reception: ReceptionMode,
-        journal: J,
-        tel: M,
+        journal: impl Into<Recorder>,
+        tel: Registry,
+    ) -> Result<Self, SimError> {
+        Self::build(graph, topo, info, seed, reception, (journal.into(), tel))
+    }
+}
+
+impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
+    /// The one fallible constructor every public one forwards to.
+    fn build(
+        graph: &'g Graph,
+        topo: T,
+        info: NetInfo,
+        seed: u64,
+        reception: ReceptionMode,
+        obs: O,
     ) -> Result<Self, SimError> {
         let mut sinr = false;
         if let ReceptionMode::Sinr(cfg) = &reception {
@@ -662,23 +602,16 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             sinr_grid_version: 0,
             sinr_grid_lo: [0.0; 3],
             sinr_grid_side: 0.0,
-            journal,
+            obs,
             phase: 0,
-            tel,
         })
     }
 
-    /// The event sink (immutable: recording state is the engine's to
-    /// drive; callers read counters or digests through this).
-    pub fn journal(&self) -> &J {
-        &self.journal
-    }
-
-    /// Consumes the simulation and returns its event sink — how a
+    /// Consumes the simulation and returns its observer — how a
     /// recording (`radionet_journal::Recorder`) is extracted once the run
     /// is over.
-    pub fn into_journal(self) -> J {
-        self.journal
+    pub fn into_observer(self) -> O {
+        self.obs
     }
 
     /// Phases executed so far (the next phase's zero-based index).
@@ -860,11 +793,11 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             injections.iter().all(|r| (r.node as usize) < states.len()),
             "injection names a node out of range"
         );
-        let watch = Stopwatch::start::<M>();
+        let watch = Stopwatch::start::<O::Tel>();
         let sparse_ok = self.topo.supports_change_feed();
         let event_ok = sparse_ok && self.topo.supports_event_jumps();
         let phase = self.phase;
-        emit(&mut self.journal, EventClass::Phase, self.clock, || {
+        emit(self.obs.journal(), EventClass::Phase, self.clock, || {
             EventKind::PhaseStart(PhaseInfo { phase })
         });
         let fell_back = match self.kernel {
@@ -873,7 +806,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             Kernel::Dense => false,
         };
         if fell_back {
-            emit(&mut self.journal, EventClass::Phase, self.clock, || {
+            emit(self.obs.journal(), EventClass::Phase, self.clock, || {
                 EventKind::Fallback(PhaseInfo { phase })
             });
         }
@@ -887,7 +820,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         // A requested-but-unavailable sparse kernel is a quiet Θ(n)-per-
         // step regression; record it so reports and the CLI can surface it.
         report.fell_back = fell_back;
-        emit(&mut self.journal, EventClass::Phase, self.clock + report.steps, || {
+        emit(self.obs.journal(), EventClass::Phase, self.clock + report.steps, || {
             EventKind::PhaseEnd(PhaseEndInfo {
                 phase,
                 steps: report.steps,
@@ -906,8 +839,8 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         let (crossings, rows) = self.topo.index_work();
         self.stats.mobility_cell_crossings = crossings;
         self.stats.mobility_rows_recomputed = rows;
-        watch.stop(&self.tel, "sim_phase_micros");
-        self.tel.count("sim_phases", 1);
+        watch.stop(self.obs.tel(), "sim_phase_micros");
+        self.obs.tel().count("sim_phases", 1);
         report
     }
 
@@ -944,7 +877,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         // change feed, so it detects flips by scanning `is_active` against
         // a snapshot — the same events the sparse kernel reads off the
         // feed, paid for only when a sink wants them.
-        if J::ENABLED && self.journal.wants(EventClass::Topology) {
+        if O::JOURNAL && self.obs.journal().wants(EventClass::Topology) {
             self.sched.was_active.clear();
             self.sched.was_active.resize(states.len(), false);
             for i in 0..states.len() {
@@ -954,13 +887,13 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
 
         for local_t in 0..max_steps {
             let gstep = self.clock + report.steps;
-            timed::<M, _>(&mut advance_nanos, || self.topo.advance_to(self.graph, gstep));
-            if J::ENABLED && self.journal.wants(EventClass::Topology) {
+            timed::<O::Tel, _>(&mut advance_nanos, || self.topo.advance_to(self.graph, gstep));
+            if O::JOURNAL && self.obs.journal().wants(EventClass::Topology) {
                 for i in 0..states.len() {
                     let active = self.topo.is_active(NodeId::new(i));
                     if active != self.sched.was_active[i] {
                         self.sched.was_active[i] = active;
-                        self.journal.record(
+                        self.obs.journal().record(
                             gstep,
                             EventKind::Status(StatusInfo { node: i as u32, active }),
                         );
@@ -990,7 +923,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                         self.listening[i] = false;
                         self.tx_nodes.push(i as u32);
                         arena.push(m);
-                        emit(&mut self.journal, EventClass::Radio, gstep, || {
+                        emit(self.obs.journal(), EventClass::Radio, gstep, || {
                             EventKind::Transmit(TransmitInfo { node: i as u32 })
                         });
                     }
@@ -1001,7 +934,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             report.transmissions += self.tx_nodes.len() as u64;
             self.stats.peak_step_transmissions =
                 self.stats.peak_step_transmissions.max(self.tx_nodes.len() as u64);
-            let reception_t0 = if M::ENABLED { Some(Instant::now()) } else { None };
+            let reception_t0 = if O::METRICS { Some(Instant::now()) } else { None };
             if let ReceptionMode::Sinr(cfg) = &self.reception {
                 // SINR reception (footnote 1): a listener decodes the
                 // strongest transmitter iff its SINR clears the threshold,
@@ -1038,7 +971,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             // drowned.
                             if best_gain / cfg.noise >= cfg.threshold {
                                 report.collisions += 1;
-                                emit(&mut self.journal, EventClass::Radio, gstep, || {
+                                emit(self.obs.journal(), EventClass::Radio, gstep, || {
                                     EventKind::Collision(CollisionInfo { node: i as u32 })
                                 });
                             }
@@ -1052,13 +985,13 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             state.on_hear(&mut ctx, msg);
                             report.deliveries += 1;
                             let from = self.tx_nodes[best_ti];
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(self.obs.journal(), EventClass::Radio, gstep, || {
                                 EventKind::Deliver(DeliverInfo { node: i as u32, from })
                             });
                         } else if best_gain / cfg.noise >= cfg.threshold {
                             // Decodable in isolation, lost to interference.
                             report.collisions += 1;
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(self.obs.journal(), EventClass::Radio, gstep, || {
                                 EventKind::Collision(CollisionInfo { node: i as u32 })
                             });
                         }
@@ -1096,7 +1029,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             };
                             states[wi].on_hear(&mut ctx, msg);
                             report.deliveries += 1;
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(self.obs.journal(), EventClass::Radio, gstep, || {
                                 EventKind::Deliver(DeliverInfo { node: wi as u32, from: u })
                             });
                         }
@@ -1117,7 +1050,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                     let jammed = self.topo.is_jammed(NodeId::new(i));
                     if hits >= 2 || (jammed && hits >= 1) {
                         report.collisions += 1;
-                        emit(&mut self.journal, EventClass::Radio, gstep, || {
+                        emit(self.obs.journal(), EventClass::Radio, gstep, || {
                             EventKind::Collision(CollisionInfo { node: i as u32 })
                         });
                     }
@@ -1132,9 +1065,9 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                 reception_nanos += t0.elapsed().as_nanos() as u64;
             }
             report.steps += 1;
-            if J::ENABLED && self.journal.checkpoint_due(self.clock + report.steps) {
+            if O::JOURNAL && self.obs.journal().checkpoint_due(self.clock + report.steps) {
                 let fp = self.rng_fingerprint();
-                self.journal.record_waypoint(self.clock + report.steps, fp);
+                self.obs.journal().record_waypoint(self.clock + report.steps, fp);
             }
             // A phase completes when every node is either done or *retired*
             // (inactive with no scheduled return). A node that is merely
@@ -1149,9 +1082,9 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                 break;
             }
         }
-        if M::ENABLED {
-            self.tel.observe("sim_topology_advance_micros", advance_nanos / 1_000);
-            self.tel.observe("sim_reception_micros", reception_nanos / 1_000);
+        if O::METRICS {
+            self.obs.tel().observe("sim_topology_advance_micros", advance_nanos / 1_000);
+            self.obs.tel().observe("sim_reception_micros", reception_nanos / 1_000);
         }
         report
     }
@@ -1230,7 +1163,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         let mut local_t = 0u64;
         while local_t < max_steps {
             let gstep = self.clock + local_t;
-            timed::<M, _>(&mut advance_nanos, || self.topo.advance_to(self.graph, gstep));
+            timed::<O::Tel, _>(&mut advance_nanos, || self.topo.advance_to(self.graph, gstep));
 
             // (1) Batch topology changes: reactivated nodes rejoin the ring
             // (their next hint re-parks them if there is nothing to do);
@@ -1243,7 +1176,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                 let active = self.topo.is_active(v);
                 if active != self.sched.was_active[i] {
                     self.sched.was_active[i] = active;
-                    emit(&mut self.journal, EventClass::Topology, gstep, || {
+                    emit(self.obs.journal(), EventClass::Topology, gstep, || {
                         EventKind::Status(StatusInfo { node: i as u32, active })
                     });
                     if active {
@@ -1292,7 +1225,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             arena.clear();
             self.stamp_epoch += 1;
             let ring = std::mem::take(&mut self.sched.ring);
-            if M::ENABLED {
+            if O::METRICS {
                 ring_peak = ring_peak.max(ring.len() as u64);
                 heap_peak =
                     heap_peak.max((self.sched.act_heap.len() + self.sched.done_heap.len()) as u64);
@@ -1308,7 +1241,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                         self.listening[i] = false;
                         self.tx_nodes.push(iu);
                         arena.push(m);
-                        emit(&mut self.journal, EventClass::Radio, gstep, || {
+                        emit(self.obs.journal(), EventClass::Radio, gstep, || {
                             EventKind::Transmit(TransmitInfo { node: iu })
                         });
                     }
@@ -1319,7 +1252,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                     self.sched.mark_done(i);
                 }
                 let hint = states[i].next_wake(local_t);
-                emit(&mut self.journal, EventClass::Sched, gstep, || {
+                emit(self.obs.journal(), EventClass::Sched, gstep, || {
                     EventKind::Hint(hint_info(iu, hint))
                 });
                 self.sched.apply_hint(i, local_t, hint, max_steps);
@@ -1335,7 +1268,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             // neighborhoods. Either way: stamp hit nodes (collecting the
             // touched list), then resolve each touched listener exactly
             // once.
-            let reception_t0 = if M::ENABLED { Some(Instant::now()) } else { None };
+            let reception_t0 = if O::METRICS { Some(Instant::now()) } else { None };
             if let ReceptionMode::Sinr(cfg) = &self.reception {
                 self.sched.touched.clear();
                 if !self.tx_nodes.is_empty() {
@@ -1355,7 +1288,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                         _ => self.topo.positions_version(),
                     };
                     if self.sinr_grid.is_none() || version != self.sinr_grid_version {
-                        let grid_watch = Stopwatch::start::<M>();
+                        let grid_watch = Stopwatch::start::<O::Tel>();
                         let (lo, hi) = position_bounds(pos);
                         let fits = (0..3).all(|a| {
                             lo[a] >= self.sinr_grid_lo[a]
@@ -1371,9 +1304,9 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             }
                         }
                         self.sinr_grid_version = version;
-                        grid_watch.stop(&self.tel, "sim_sinr_grid_rebuild_micros");
-                        self.tel.count("sim_sinr_grid_rebuilds", 1);
-                        emit(&mut self.journal, EventClass::Sched, gstep, || {
+                        grid_watch.stop(self.obs.tel(), "sim_sinr_grid_rebuild_micros");
+                        self.obs.tel().count("sim_sinr_grid_rebuilds", 1);
+                        emit(self.obs.journal(), EventClass::Sched, gstep, || {
                             EventKind::GridRebuild(GridInfo { version })
                         });
                     }
@@ -1439,7 +1372,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             // A decodable signal drowned by broadband
                             // receiver noise: a collision, no delivery.
                             report.collisions += 1;
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(self.obs.journal(), EventClass::Radio, gstep, || {
                                 EventKind::Collision(CollisionInfo { node: w32 })
                             });
                             continue;
@@ -1497,7 +1430,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             states[wi].on_hear(&mut ctx, &arena[ti]);
                             report.deliveries += 1;
                             let from = self.tx_nodes[ti];
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(self.obs.journal(), EventClass::Radio, gstep, || {
                                 EventKind::Deliver(DeliverInfo { node: w32, from })
                             });
                             // Hearing re-engages the node: poll done-ness,
@@ -1506,7 +1439,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                                 self.sched.mark_done(wi);
                             }
                             let hint = states[wi].next_wake(local_t);
-                            emit(&mut self.journal, EventClass::Sched, gstep, || {
+                            emit(self.obs.journal(), EventClass::Sched, gstep, || {
                                 EventKind::Hint(hint_info(w32, hint))
                             });
                             self.sched.apply_hint(wi, local_t, hint, max_steps);
@@ -1515,7 +1448,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             // interference (no CD under SINR: the
                             // listener is not notified, so no re-engage).
                             report.collisions += 1;
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(self.obs.journal(), EventClass::Radio, gstep, || {
                                 EventKind::Collision(CollisionInfo { node: w32 })
                             });
                         }
@@ -1552,13 +1485,13 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                         states[wi].on_hear(&mut ctx, &arena[ti]);
                         report.deliveries += 1;
                         let from = self.tx_nodes[ti];
-                        emit(&mut self.journal, EventClass::Radio, gstep, || {
+                        emit(self.obs.journal(), EventClass::Radio, gstep, || {
                             EventKind::Deliver(DeliverInfo { node: wi32, from })
                         });
                     } else {
                         if hits >= 2 || (jammed && hits >= 1) {
                             report.collisions += 1;
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(self.obs.journal(), EventClass::Radio, gstep, || {
                                 EventKind::Collision(CollisionInfo { node: wi32 })
                             });
                         }
@@ -1579,7 +1512,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                         self.sched.mark_done(wi);
                     }
                     let hint = states[wi].next_wake(local_t);
-                    emit(&mut self.journal, EventClass::Sched, gstep, || {
+                    emit(self.obs.journal(), EventClass::Sched, gstep, || {
                         EventKind::Hint(hint_info(wi32, hint))
                     });
                     self.sched.apply_hint(wi, local_t, hint, max_steps);
@@ -1607,7 +1540,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             self.sched.mark_done(wi);
                         }
                         let hint = states[wi].next_wake(local_t);
-                        emit(&mut self.journal, EventClass::Sched, gstep, || {
+                        emit(self.obs.journal(), EventClass::Sched, gstep, || {
                             EventKind::Hint(hint_info(wi32, hint))
                         });
                         self.sched.apply_hint(wi, local_t, hint, max_steps);
@@ -1619,9 +1552,9 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             }
 
             report.steps = local_t + 1;
-            if J::ENABLED && self.journal.checkpoint_due(self.clock + report.steps) {
+            if O::JOURNAL && self.obs.journal().checkpoint_due(self.clock + report.steps) {
                 let fp = self.rng_fingerprint();
-                self.journal.record_waypoint(self.clock + report.steps, fp);
+                self.obs.journal().record_waypoint(self.clock + report.steps, fp);
             }
             // (5) Apply the hints' deferred listening transitions (the
             // step's reception above still saw the pre-hint state, exactly
@@ -1683,8 +1616,8 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                 // step `w - clock - 1`; land there so the recording keeps
                 // the stepped cadence (boundaries beyond the span are not
                 // due, so charging past them is exact).
-                if J::ENABLED {
-                    if let Some(w) = self.journal.next_checkpoint() {
+                if O::JOURNAL {
+                    if let Some(w) = self.obs.journal().next_checkpoint() {
                         next = next.min(w.saturating_sub(self.clock).saturating_sub(1));
                     }
                 }
@@ -1699,11 +1632,11 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         }
         self.stats.scheduler_events += self.sched.pops;
         self.stats.silent_steps_skipped += skipped;
-        if M::ENABLED {
-            self.tel.observe("sim_topology_advance_micros", advance_nanos / 1_000);
-            self.tel.observe("sim_reception_micros", reception_nanos / 1_000);
-            self.tel.observe("sim_ring_peak", ring_peak);
-            self.tel.observe("sim_heap_peak", heap_peak);
+        if O::METRICS {
+            self.obs.tel().observe("sim_topology_advance_micros", advance_nanos / 1_000);
+            self.obs.tel().observe("sim_reception_micros", reception_nanos / 1_000);
+            self.obs.tel().observe("sim_ring_peak", ring_peak);
+            self.obs.tel().observe("sim_heap_peak", heap_peak);
         }
         report
     }
@@ -2247,7 +2180,8 @@ mod tests {
                 .collect()
         };
         let info = NetInfo::exact(&g);
-        let mut sim = Sim::with_reception(&g, info, 0, crate::ReceptionMode::ProtocolCd);
+        let mut sim =
+            Sim::with_topology(&g, StaticTopology, info, 0, crate::ReceptionMode::ProtocolCd);
         let mut states = mk(&g);
         sim.run_phase(&mut states, 2);
         assert_eq!(states[0].collisions, 2);
@@ -2287,7 +2221,7 @@ mod tests {
         let positions = vec![(0.0, 0.0), (0.1, 0.0), (0.9, 0.0)];
         let info = NetInfo::exact(&g);
         let mode = crate::ReceptionMode::Sinr(crate::SinrConfig::for_unit_range(positions, 1.0));
-        let mut sim = Sim::with_reception(&g, info, 0, mode);
+        let mut sim = Sim::with_topology(&g, StaticTopology, info, 0, mode);
         let mut states: Vec<Chatter> =
             g.nodes().map(|v| Chatter { active: v.index() != 0, heard: Vec::new() }).collect();
         let rep = sim.run_phase(&mut states, 1);
@@ -2310,7 +2244,7 @@ mod tests {
         let positions = vec![(0.0, 0.0), (2.0, 0.0)];
         let info = NetInfo::exact(&g);
         let mode = crate::ReceptionMode::Sinr(crate::SinrConfig::for_unit_range(positions, 1.0));
-        let mut sim = Sim::with_reception(&g, info, 0, mode);
+        let mut sim = Sim::with_topology(&g, StaticTopology, info, 0, mode);
         let mut states = vec![
             Chatter { active: false, heard: Vec::new() },
             Chatter { active: true, heard: Vec::new() },
@@ -2325,7 +2259,7 @@ mod tests {
         let g = generators::path(3);
         let mode =
             crate::ReceptionMode::Sinr(crate::SinrConfig::for_unit_range(vec![(0.0, 0.0)], 1.0));
-        let _ = Sim::with_reception(&g, NetInfo::exact(&g), 0, mode);
+        let _ = Sim::with_topology(&g, StaticTopology, NetInfo::exact(&g), 0, mode);
     }
 
     #[test]
@@ -2336,17 +2270,18 @@ mod tests {
         let info = NetInfo::exact(&g);
         // Snapshot count mismatch.
         let mode = crate::ReceptionMode::Sinr(SinrConfig::for_unit_range(vec![(0.0, 0.0)], 1.0));
-        let err = Sim::try_with_reception(&g, info, 0, mode).unwrap_err();
+        let err = Sim::try_with_topology(&g, StaticTopology, info, 0, mode).unwrap_err();
         assert_eq!(err, SimError::PositionCount { nodes: 4, positions: 1 });
         assert!(err.to_string().contains("one position per node"), "{err}");
         // Live positions over a view with no geometry.
         let mode =
             crate::ReceptionMode::Sinr(SinrConfig::for_unit_range(PositionSource::Live, 1.0));
-        let err = Sim::try_with_reception(&g, info, 0, mode).unwrap_err();
+        let err = Sim::try_with_topology(&g, StaticTopology, info, 0, mode).unwrap_err();
         assert_eq!(err, SimError::NoLivePositions);
         // Unresolved Geometry source.
-        let err = Sim::try_with_reception(
+        let err = Sim::try_with_topology(
             &g,
+            StaticTopology,
             info,
             0,
             crate::ReceptionMode::Sinr(SinrConfig::geometric()),
@@ -2357,11 +2292,21 @@ mod tests {
         let mut cfg = SinrConfig::for_unit_range(vec![(0.0, 0.0); 4], 1.0);
         cfg.noise = -1.0;
         let err =
-            Sim::try_with_reception(&g, info, 0, crate::ReceptionMode::Sinr(cfg)).unwrap_err();
+            Sim::try_with_topology(&g, StaticTopology, info, 0, crate::ReceptionMode::Sinr(cfg))
+                .unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "{err:?}");
         // The protocol models never fail.
-        assert!(Sim::try_new(&g, info, 0).is_ok());
-        assert!(Sim::try_with_reception(&g, info, 0, crate::ReceptionMode::ProtocolCd).is_ok());
+        assert!(
+            Sim::try_with_topology(&g, StaticTopology, info, 0, ReceptionMode::Protocol).is_ok()
+        );
+        assert!(Sim::try_with_topology(
+            &g,
+            StaticTopology,
+            info,
+            0,
+            crate::ReceptionMode::ProtocolCd
+        )
+        .is_ok());
     }
 
     /// A feed-less view: forces the dense fallback under `Kernel::Sparse`.
@@ -2437,7 +2382,7 @@ mod tests {
         let pts = scatter(g.n(), 5.0, 17);
         let run = |kernel| {
             let mode = crate::ReceptionMode::Sinr(SinrConfig::for_unit_range(pts.clone(), 1.0));
-            let mut sim = Sim::with_reception(&g, NetInfo::exact(&g), 3, mode);
+            let mut sim = Sim::with_topology(&g, StaticTopology, NetInfo::exact(&g), 3, mode);
             sim.set_kernel(kernel);
             let mut states: Vec<Coin> = g.nodes().map(|_| Coin { sent: Vec::new() }).collect();
             let rep = sim.run_phase(&mut states, 60);
@@ -2462,7 +2407,7 @@ mod tests {
                 .collect();
             let run = |kernel| {
                 let mode = crate::ReceptionMode::Sinr(SinrConfig::for_unit_range(pts.clone(), 1.0));
-                let mut sim = Sim::with_reception(&g, NetInfo::exact(&g), 5, mode);
+                let mut sim = Sim::with_topology(&g, StaticTopology, NetInfo::exact(&g), 5, mode);
                 sim.set_kernel(kernel);
                 let mut states: Vec<Coin> = g.nodes().map(|_| Coin { sent: Vec::new() }).collect();
                 let rep = sim.run_phase(&mut states, 40);
@@ -2481,7 +2426,7 @@ mod tests {
         let g = generators::grid2d(4, 4);
         let pts = scatter(g.n(), 4.0, 2);
         let mode = crate::ReceptionMode::Sinr(SinrConfig::for_unit_range(pts, 1.0));
-        let mut sim = Sim::with_reception(&g, NetInfo::exact(&g), 1, mode);
+        let mut sim = Sim::with_topology(&g, StaticTopology, NetInfo::exact(&g), 1, mode);
         assert_eq!(sim.kernel(), Kernel::Sparse);
         let rep = sim.run_phase(&mut chatters(&g, &[0]), 3);
         assert!(!rep.fell_back, "SINR no longer forces the dense kernel");
@@ -2500,7 +2445,7 @@ mod tests {
             let mode = crate::ReceptionMode::Sinr(
                 SinrConfig::for_unit_range(pts.clone(), 1.0).with_far_field(far_field),
             );
-            let mut sim = Sim::with_reception(&g, NetInfo::exact(&g), 9, mode);
+            let mut sim = Sim::with_topology(&g, StaticTopology, NetInfo::exact(&g), 9, mode);
             let mut states: Vec<Coin> = g.nodes().map(|_| Coin { sent: Vec::new() }).collect();
             let rep = sim.run_phase(&mut states, 80);
             (rep, sim.rng_fingerprint())
@@ -2519,20 +2464,21 @@ mod tests {
         use radionet_journal::{bisect, ClassMask, Recorder};
         let g = generators::grid2d(5, 5);
         let run = |kernel: Kernel| {
-            let mut sim = Sim::try_with_journal(
+            let mut sim = Sim::try_instrumented(
                 &g,
                 StaticTopology,
                 NetInfo::exact(&g),
                 3,
                 ReceptionMode::Protocol,
                 Recorder::new(ClassMask::ALL, 8),
+                Registry::default(),
             )
             .unwrap();
             sim.set_kernel(kernel);
             let mut states: Vec<Coin> = g.nodes().map(|_| Coin { sent: Vec::new() }).collect();
             sim.run_phase(&mut states, 40);
             let fp = sim.rng_fingerprint();
-            sim.into_journal().into_journal("test", kernel.name(), None, fp, 0)
+            sim.into_observer().0.into_journal("test", kernel.name(), None, fp, 0)
         };
         let sparse = run(Kernel::Sparse);
         let dense = run(Kernel::Dense);
@@ -2559,20 +2505,21 @@ mod tests {
         use radionet_journal::{ClassMask, EventClass, Recorder};
         let run = |kernel: Kernel| {
             let g = generators::star(4);
-            let mut sim = Sim::try_with_journal(
+            let mut sim = Sim::try_instrumented(
                 &g,
                 Sleeper::new(2, Some(5)),
                 NetInfo::exact(&g),
                 0,
                 ReceptionMode::Protocol,
                 Recorder::new(ClassMask::NONE.with(EventClass::Topology), 0),
+                Registry::default(),
             )
             .unwrap();
             sim.set_kernel(kernel);
             let mut states: Vec<OneShot> =
                 g.nodes().map(|v| OneShot { source: v.index() == 0, heard: false }).collect();
             sim.run_phase(&mut states, 100);
-            let mut events = sim.into_journal().events().to_vec();
+            let mut events = sim.into_observer().0.events().to_vec();
             events.sort_by_key(radionet_journal::Event::order_key);
             events
         };
@@ -2594,7 +2541,7 @@ mod tests {
             let positions = vec![(0.0, 0.0), (0.1, 0.0), (0.9, 0.0)];
             let mode =
                 crate::ReceptionMode::Sinr(crate::SinrConfig::for_unit_range(positions, 1.0));
-            let mut sim = Sim::with_reception(&g, NetInfo::exact(&g), 0, mode);
+            let mut sim = Sim::with_topology(&g, StaticTopology, NetInfo::exact(&g), 0, mode);
             sim.set_kernel(kernel);
             let mut states: Vec<Chatter> =
                 g.nodes().map(|v| Chatter { active: v.index() != 0, heard: Vec::new() }).collect();

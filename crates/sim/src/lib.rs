@@ -67,6 +67,7 @@ mod cost;
 mod engine;
 mod injection;
 pub mod multiplex;
+mod observer;
 mod protocol;
 mod reception;
 mod stats;
@@ -76,14 +77,13 @@ pub use checkpoint::{Checkpoint, CheckpointError, RngState};
 pub use cost::CostModel;
 pub use engine::{Kernel, PhaseReport, Sim, SimError};
 pub use injection::{injections_ordered, Injection};
-// The engine's observability vocabulary, re-exported so `Sim`'s public
-// signatures (`J: JournalSink = NullSink`) resolve without a separate
-// dependency on the journal crate.
+pub use observer::{Instrumented, NullObserver, Observer};
 pub use protocol::{Action, NetInfo, NodeCtx, Protocol, Wake};
+// The two halves of an `Observer`, re-exported so `Sim`'s third parameter
+// (`O: Observer = NullObserver`), its constructors and the downstream
+// `run_*` signatures resolve without separate journal or telemetry
+// dependencies.
 pub use radionet_journal::{JournalSink, NullSink};
-// The engine's telemetry vocabulary, re-exported for the same reason:
-// `Sim`'s fourth parameter (`M: Telemetry = NoTelemetry`) and downstream
-// `run_*` signatures resolve without a separate telemetry dependency.
 pub use radionet_telemetry::{NoTelemetry, Registry, Telemetry};
 pub use reception::{
     dist3, FarFieldPolicy, PositionSource, ReceptionMode, SinrConfig, NEAR_FIELD_FRACTION,

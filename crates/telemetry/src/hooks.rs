@@ -5,8 +5,8 @@ use std::time::Instant;
 
 /// Receiver of metric observations.
 ///
-/// Instrumented components are generic over their handle and guard every
-/// site with `if M::ENABLED` — a monomorphized constant, so the default
+/// The metrics half of the engine's `Observer`: generic components guard
+/// every site with `if M::ENABLED` — a monomorphized constant, so the default
 /// [`NoTelemetry`] compiles the instrumentation out entirely (the same
 /// technique as the journal layer's `NullSink`). Methods take `&self`:
 /// the enabled implementation ([`Registry`](crate::Registry)) is

@@ -1,8 +1,9 @@
 //! Runtime telemetry for the radionet workspace: wall-clock metrics that
 //! live strictly **outside** the deterministic surface.
 //!
-//! The design mirrors the journal layer's `NullSink`: every instrumented
-//! component is generic over a [`Telemetry`] handle whose `ENABLED`
+//! A [`Telemetry`] handle is the metrics half of the engine's `Observer`
+//! (`radionet-sim`), next to the journal layer's sink. Every instrumented
+//! component is generic over a handle whose `ENABLED`
 //! associated constant is monomorphized into the guard of each
 //! instrumentation site. With the default [`NoTelemetry`] the guards fold
 //! to `if false` and the whole metrics plane compiles out of the hot path
