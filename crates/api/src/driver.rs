@@ -203,8 +203,8 @@ impl Driver {
     /// Runs one spec to completion.
     ///
     /// Pure: identical specs yield bit-identical reports (the scenario
-    /// equivalence suite pins this against the pre-façade runner for the
-    /// whole catalogue, under the sparse and dense kernels). A spec's
+    /// equivalence suite pins this against the frozen pre-façade pipeline
+    /// for the whole catalogue, under all three kernels). A spec's
     /// `journal` section is ignored here — use [`Driver::run_journaled`]
     /// to record. Without attached telemetry the run executes on the
     /// zero-cost null observer.
@@ -432,55 +432,30 @@ impl Driver {
         Ok(Materialized { task, g, info, topo, n_events, reception, ctx })
     }
 
-    /// Runs specs in order on the current thread, streaming each report to
-    /// `sink` as it completes. Returns the number of reports emitted.
+    /// Runs a sweep, streaming each report to `sink` in spec order.
+    /// Returns the number of reports emitted.
     ///
-    /// Memory stays O(1) in the sweep length: nothing is buffered beyond
-    /// the report in flight. On error the sink is still finished, so
-    /// partial output stays well-formed (the original error is returned).
-    pub fn run_sweep(
-        &self,
-        specs: &[RunSpec],
-        sink: &mut dyn ResultSink,
-    ) -> Result<usize, RunError> {
-        self.run_sweep_streaming(specs.iter().cloned(), 1, sink)
-    }
-
-    /// Runs specs on all cores (rayon), streaming reports to `sink` in
-    /// spec order. Because every run is a pure function of its spec, the
-    /// emitted stream is byte-identical to [`Driver::run_sweep`].
-    ///
-    /// Cells are processed in bounded chunks (`chunk` specs at a time,
-    /// minimum 1), so memory stays O(chunk) however large the sweep is.
-    pub fn run_sweep_parallel(
-        &self,
-        specs: &[RunSpec],
-        chunk: usize,
-        sink: &mut dyn ResultSink,
-    ) -> Result<usize, RunError> {
-        self.run_sweep_streaming(specs.iter().cloned(), chunk, sink)
-    }
-
-    /// Like [`Driver::run_sweep_parallel`], but pulls specs lazily from an
-    /// iterator: at no point do more than `chunk` specs (or reports) exist
-    /// at once, so a sweep generator can be arbitrarily large — this is
-    /// the entry point the `radionet sweep` CLI streams through.
+    /// Specs are pulled lazily from the iterator and run `chunk` at a time
+    /// (minimum 1) on all cores (rayon), so at no point do more than
+    /// `chunk` specs or reports exist at once: a sweep generator can be
+    /// arbitrarily large. `chunk = 1` is the sequential path. Because every
+    /// run is a pure function of its spec, the emitted stream is
+    /// byte-identical at every chunk size.
     ///
     /// The sink is finished on **every** exit path: even when a spec fails
     /// mid-sweep, already-emitted output gets its trailer/flush so partial
     /// files stay well-formed (the original error is still returned).
-    pub fn run_sweep_streaming<I>(
+    /// Attached telemetry counts emitted reports as `sweep_cells` and times
+    /// each chunk as `sweep_chunk_micros`.
+    pub fn run_sweep(
         &self,
-        specs: I,
+        specs: impl IntoIterator<Item = RunSpec>,
         chunk: usize,
         sink: &mut dyn ResultSink,
-    ) -> Result<usize, RunError>
-    where
-        I: IntoIterator<Item = RunSpec>,
-    {
+    ) -> Result<usize, RunError> {
         let chunk = chunk.max(1);
         let mut specs = specs.into_iter();
-        let mut total = 0usize;
+        let mut emitted = 0usize;
         let outcome = 'sweep: {
             loop {
                 let block: Vec<RunSpec> = specs.by_ref().take(chunk).collect();
@@ -492,16 +467,15 @@ impl Driver {
                     block.par_iter().map(|spec| self.run(spec)).collect();
                 if let (Some(tel), Some(t0)) = (&self.tel, chunk_t0) {
                     tel.observe("sweep_chunk_micros", t0.elapsed().as_micros() as u64);
-                    tel.count("sweep_cells", block.len() as u64);
                 }
-                total += block.len();
                 for report in reports {
-                    let report = match report {
-                        Ok(report) => report,
-                        Err(e) => break 'sweep Err(e),
-                    };
-                    if let Err(e) = sink.emit(&report) {
-                        break 'sweep Err(e.into());
+                    let emit = report.and_then(|r| sink.emit(&r).map_err(RunError::from));
+                    if let Err(e) = emit {
+                        break 'sweep Err(e);
+                    }
+                    emitted += 1;
+                    if let Some(tel) = &self.tel {
+                        tel.count("sweep_cells", 1);
                     }
                 }
             }
@@ -509,7 +483,7 @@ impl Driver {
         match outcome {
             Ok(()) => {
                 sink.finish()?;
-                Ok(total)
+                Ok(emitted)
             }
             Err(e) => {
                 // Terminate the stream, but report the sweep's own error.
@@ -694,11 +668,11 @@ mod tests {
         let specs: Vec<RunSpec> =
             (0..5).map(|seed| RunSpec::new("mis", Family::Grid, 16).with_seed(seed)).collect();
         let mut plain = MemorySink::default();
-        Driver::standard().run_sweep(&specs, &mut plain).unwrap();
+        Driver::standard().run_sweep(specs.iter().cloned(), 1, &mut plain).unwrap();
         let tel = Registry::default();
         let driver = Driver::standard().with_telemetry(tel.clone());
         let mut timed = MemorySink::default();
-        driver.run_sweep_streaming(specs.iter().cloned(), 2, &mut timed).unwrap();
+        driver.run_sweep(specs, 2, &mut timed).unwrap();
         assert_eq!(plain.reports, timed.reports);
         let snap = tel.snapshot();
         assert_eq!(snap.counter("sweep_cells"), Some(5));
@@ -717,7 +691,7 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut sink = crate::sink::JsonArraySink::new(&mut buf);
-            let err = driver.run_sweep(&specs, &mut sink).unwrap_err();
+            let err = driver.run_sweep(specs, 1, &mut sink).unwrap_err();
             assert!(matches!(err, RunError::UnknownTask(_)), "{err}");
         }
         let parsed: Vec<RunReport> =
@@ -732,8 +706,28 @@ mod tests {
             (0..6).map(|seed| RunSpec::new("mis", Family::Grid, 16).with_seed(seed)).collect();
         let mut seq = MemorySink::default();
         let mut par = MemorySink::default();
-        assert_eq!(driver.run_sweep(&specs, &mut seq).unwrap(), 6);
-        assert_eq!(driver.run_sweep_parallel(&specs, 2, &mut par).unwrap(), 6);
+        assert_eq!(driver.run_sweep(specs.iter().cloned(), 1, &mut seq).unwrap(), 6);
+        assert_eq!(driver.run_sweep(specs, 2, &mut par).unwrap(), 6);
         assert_eq!(seq.reports, par.reports);
+    }
+
+    /// `sweep_cells` counts reports the sink received, not specs pulled:
+    /// a cell that fails (and every cell after it) is never counted.
+    #[test]
+    fn sweep_telemetry_counts_only_emitted_cells() {
+        use radionet_sim::Registry;
+        for chunk in [1, 4] {
+            let specs = [
+                RunSpec::new("luby-mis", Family::Path, 8),
+                RunSpec::new("no-such-task", Family::Path, 8),
+            ];
+            let tel = Registry::default();
+            let driver = Driver::standard().with_telemetry(tel.clone());
+            let mut sink = MemorySink::default();
+            let err = driver.run_sweep(specs, chunk, &mut sink).unwrap_err();
+            assert!(matches!(err, RunError::UnknownTask(_)), "{err}");
+            assert_eq!(sink.reports.len(), 1, "chunk {chunk}");
+            assert_eq!(tel.snapshot().counter("sweep_cells"), Some(1), "chunk {chunk}");
+        }
     }
 }

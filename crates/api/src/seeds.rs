@@ -1,12 +1,12 @@
 //! Deterministic seed derivation shared by the [`Driver`](crate::Driver)
-//! and the `radionet-scenario` sweep runner.
+//! and the `radionet-scenario` sweep expansion.
 //!
 //! Everything an experiment cell randomizes — the graph instance, the event
 //! script, the simulator's per-node RNGs, and node-private lotteries — is
 //! derived from **one** cell seed through the fixed-constant mixes below.
-//! Keeping the derivation in a single module is the determinism guard: the
-//! façade path (`Driver::run`) and the legacy sweep path stay byte-identical
-//! because they cannot disagree on a derived seed.
+//! Keeping the derivation in a single module is the determinism guard:
+//! every sweep cell gets its seed from [`seed_for`], and every run derives
+//! its sub-seeds from that one value.
 
 /// Splitmix64-style finalizer: the workspace's standard bit mixer.
 pub fn mix(mut x: u64) -> u64 {
@@ -20,9 +20,9 @@ pub fn mix(mut x: u64) -> u64 {
 /// The per-cell seed of a sweep: mixes the sweep's base seed with the cell
 /// index (its scenario name, requested size, and repetition number).
 ///
-/// This is the exact derivation the scenario sweep runner has always used,
-/// extracted here so `SweepConfig::cells` and spec-building code cannot
-/// drift apart; `pinned_values` below freezes the outputs.
+/// This is the exact derivation the scenario sweeps have always used;
+/// `SweepConfig::specs` calls it for every cell, and `pinned_values` below
+/// freezes the outputs.
 pub fn seed_for(base: u64, scenario_name: &str, n: usize, rep: u64) -> u64 {
     let mut h = base ^ mix(n as u64) ^ mix(rep.wrapping_add(77));
     for b in scenario_name.bytes() {
@@ -69,7 +69,7 @@ mod tests {
     use super::*;
 
     /// Determinism guard: these exact values are produced today by the
-    /// sweep runner's historical derivation. If this test fails, every
+    /// scenario sweeps' historical derivation. If this test fails, every
     /// recorded sweep result and golden fixture in the repo silently means
     /// something else — do not "fix" the constants, fix the regression.
     #[test]

@@ -1,40 +1,54 @@
-//! Sequential vs rayon sweep runner on a Quick-scale scenario grid.
+//! `Driver::run_sweep` at chunk 1 (sequential) vs chunk 64 (rayon) on a
+//! Quick-scale scenario grid.
 //!
-//! On a multi-core host the parallel runner's advantage is roughly the core
+//! On a multi-core host the chunked sweep's advantage is roughly the core
 //! count (cells are embarrassingly parallel and identically seeded); on a
-//! single-core host the two runners time alike, which is itself the honest
-//! result. The recorded speedup is printed after the two benchmarks.
+//! single-core host the two time alike, which is itself the honest result.
+//! The recorded speedup is printed after the two benchmarks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use radionet_scenario::runner::{run_sweep_parallel, run_sweep_sequential, SweepConfig};
-use radionet_scenario::Scenario;
+use radionet_api::{Driver, MemorySink, RunReport};
+use radionet_scenario::{Scenario, SweepConfig};
+use radionet_sim::Kernel;
 use std::time::Instant;
 
 fn quick_grid() -> SweepConfig {
     // A small all-catalogue grid: every dynamics class, one size, one seed.
-    SweepConfig { scenarios: Scenario::catalogue(), sizes: vec![48], seeds: 1, base_seed: 0xbe9c }
+    SweepConfig {
+        scenarios: Scenario::catalogue(),
+        sizes: vec![48],
+        seeds: 1,
+        base_seed: 0xbe9c,
+        kernel: Kernel::default(),
+    }
+}
+
+fn sweep(config: &SweepConfig, chunk: usize) -> Vec<RunReport> {
+    let mut sink = MemorySink::default();
+    Driver::standard().run_sweep(config.specs(), chunk, &mut sink).expect("valid specs");
+    sink.reports
 }
 
 fn bench_sweep(c: &mut Criterion) {
     let config = quick_grid();
     let mut group = c.benchmark_group("sweep");
     group.sample_size(10);
-    group.bench_function("sequential", |b| b.iter(|| run_sweep_sequential(&config)));
-    group.bench_function(format!("rayon_{}_threads", rayon::current_num_threads()), |b| {
-        b.iter(|| run_sweep_parallel(&config))
+    group.bench_function("chunk_1", |b| b.iter(|| sweep(&config, 1)));
+    group.bench_function(format!("chunk_64_{}_threads", rayon::current_num_threads()), |b| {
+        b.iter(|| sweep(&config, 64))
     });
     group.finish();
 
     // One directly comparable pair, printed as a speedup figure.
     let t0 = Instant::now();
-    let seq = run_sweep_sequential(&config);
+    let seq = sweep(&config, 1);
     let t_seq = t0.elapsed();
     let t1 = Instant::now();
-    let par = run_sweep_parallel(&config);
+    let par = sweep(&config, 64);
     let t_par = t1.elapsed();
-    assert_eq!(seq, par, "runners diverged");
+    assert_eq!(seq, par, "chunk sizes diverged");
     println!(
-        "sweep speedup: sequential {:.2?} / rayon({}) {:.2?} = {:.2}x",
+        "sweep speedup: chunk 1 {:.2?} / chunk 64 on {} threads {:.2?} = {:.2}x",
         t_seq,
         rayon::current_num_threads(),
         t_par,

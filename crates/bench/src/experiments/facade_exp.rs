@@ -1,7 +1,7 @@
 //! E16 — the unified façade exercised end-to-end from the bench layer:
 //! every task in the registry, swept across graph families as
-//! [`RunSpec`]s through [`Driver::run_sweep_parallel`], with the parallel
-//! stream asserted byte-identical to the sequential one.
+//! [`RunSpec`]s through [`Driver::run_sweep`] in chunks of 32, with the
+//! parallel stream asserted byte-identical to the sequential one.
 //!
 //! This experiment is deliberately built the way the API redesign says
 //! benches should be: no hand-wired `Sim` construction, no per-algorithm
@@ -55,13 +55,15 @@ pub fn e16_facade(scale: Scale) -> ExperimentRecord {
     eprintln!("sweeping {} specs over {} tasks", corpus.len(), driver.registry().len());
 
     let mut parallel = MemorySink::default();
-    driver.run_sweep_parallel(&corpus, 32, &mut parallel).expect("corpus specs are valid");
+    driver.run_sweep(corpus.iter().cloned(), 32, &mut parallel).expect("corpus specs are valid");
     let reports = parallel.reports;
 
     // Determinism cross-check on a slice (full corpus at Quick scale).
     let check = if scale == Scale::Quick { corpus.len() } else { corpus.len() / 4 };
     let mut sequential = MemorySink::default();
-    driver.run_sweep(&corpus[..check], &mut sequential).expect("corpus specs are valid");
+    driver
+        .run_sweep(corpus[..check].iter().cloned(), 1, &mut sequential)
+        .expect("corpus specs are valid");
     assert_eq!(
         sequential.reports,
         reports[..check],

@@ -1,15 +1,14 @@
 //! E14 — dynamic-network scenarios: how the α-parametrized algorithms
 //! degrade (and recover) under churn, partitions, jamming, and staggered
-//! wake-up, swept in parallel.
+//! wake-up, swept in parallel through [`Driver::run_sweep`].
 
 use super::{banner, print_notes};
 use crate::Scale;
 use radionet_analysis::ingest::group_summaries;
 use radionet_analysis::table::f2;
 use radionet_analysis::{ExperimentRecord, Table};
-use radionet_scenario::runner::{
-    run_sweep_parallel, run_sweep_sequential, to_record, to_run_records, SweepConfig,
-};
+use radionet_api::{Driver, MemorySink, RunReport};
+use radionet_scenario::runner::{to_record, to_run_records, SweepConfig};
 
 /// Scenario sweep sizes (smaller than the static sweeps: every cell runs a
 /// full multi-phase algorithm under perturbation).
@@ -20,31 +19,40 @@ fn sizes(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// E14 — the scenario sweep. Runs the full catalogue on the rayon runner,
-/// cross-checks a Quick-scale slice against the sequential runner
-/// (byte-identical results), and reports per-scenario success and timing.
+/// Runs `config` through the driver, `chunk` cells at a time.
+fn sweep(config: &SweepConfig, chunk: usize) -> Vec<RunReport> {
+    let mut sink = MemorySink::default();
+    Driver::standard()
+        .run_sweep(config.specs(), chunk, &mut sink)
+        .expect("catalogue cells are valid specs");
+    sink.reports
+}
+
+/// E14 — the scenario sweep. Runs the full catalogue in one parallel
+/// chunk, cross-checks a Quick-scale slice against the sequential
+/// (`chunk = 1`) sweep (byte-identical results), and reports per-scenario
+/// success and timing.
 pub fn e14_scenarios(scale: Scale) -> ExperimentRecord {
     let claim = "Dynamic networks: guarantee degradation under churn, partition/repair, jamming";
     banner("E14", claim);
     let config = SweepConfig::catalogue(sizes(scale), scale.seeds().min(3), 0xd1ce);
-    let cell_count = config.cells().len();
+    let cell_count = config.specs().count();
     eprintln!("running {cell_count} cells on {} threads", rayon::current_num_threads());
-    let results = run_sweep_parallel(&config);
+    let reports = sweep(&config, cell_count);
 
-    // Determinism cross-check: the parallel runner must reproduce the
-    // sequential runner bit-for-bit on a slice (full set at Quick scale).
+    // Determinism cross-check: the parallel sweep must reproduce the
+    // sequential one bit-for-bit on a slice (full set at Quick scale).
     let check = if scale == Scale::Quick {
         config.clone()
     } else {
         SweepConfig { sizes: vec![sizes(Scale::Quick)[0]], ..config.clone() }
     };
-    let seq = run_sweep_sequential(&check);
-    let par: Vec<_> =
-        if scale == Scale::Quick { results.clone() } else { run_sweep_parallel(&check) };
+    let seq = sweep(&check, 1);
+    let par = if scale == Scale::Quick { reports.clone() } else { sweep(&check, cell_count) };
     assert_eq!(seq, par, "parallel sweep diverged from sequential");
 
-    let mut record = to_record("E14", claim, &results);
-    let rows = to_run_records(&results);
+    let mut record = to_record("E14", claim, &config, &reports);
+    let rows = to_run_records(&config, &reports);
 
     let mut table =
         Table::new(["scenario", "workload", "n", "ok", "achieved", "clock (mean)", "collisions"]);

@@ -152,7 +152,9 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
     );
     let mut sequential = Vec::new();
     let start = Instant::now();
-    driver.run_sweep(&sweep_specs, &mut JsonlSink::new(&mut sequential)).expect("sequential");
+    driver
+        .run_sweep(sweep_specs.iter().cloned(), 1, &mut JsonlSink::new(&mut sequential))
+        .expect("sequential");
     let seq_wall = start.elapsed().as_secs_f64().max(1e-9);
     table.row([
         "sharded-sweep".into(),

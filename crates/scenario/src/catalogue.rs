@@ -1,125 +1,61 @@
-//! The serde-able scenario catalogue: named compositions of a graph
-//! family, a workload, a reception mode, and a dynamics recipe.
+//! The serde-able scenario catalogue: named [`RunSpec`] templates.
 //!
-//! Mirroring `radionet_graph::families`, each [`Scenario`] maps `(n, seed)`
-//! to a fully determined experiment cell; [`Scenario::catalogue`] lists the
-//! named presets the sweep runner and `exp_scenarios` binary use.
+//! Mirroring `radionet_graph::families`, each [`Scenario`] fixes a task, a
+//! graph family, a reception mode, and a dynamics recipe; a
+//! [`SweepConfig`](crate::SweepConfig) fills in the size, the kernel, and
+//! the per-cell seed. [`Scenario::catalogue`] lists the named presets the
+//! `exp_scenarios` binary sweeps.
 //!
 //! The recipe vocabulary itself ([`Dynamics`] and its spec structs) lives
-//! in `radionet_api::spec` — a scenario is simply a *named*
-//! [`RunSpec`](radionet_api::RunSpec) family, and [`Workload`] names the
-//! registry task each cell runs.
+//! in `radionet_api::spec`.
 
+use radionet_api::RunSpec;
 use radionet_graph::families::Family;
-use radionet_graph::Graph;
-use radionet_sim::{NetInfo, ReceptionMode, SinrConfig};
+use radionet_sim::{ReceptionMode, SinrConfig};
 use serde::{Deserialize, Serialize};
 
 pub use radionet_api::spec::{ChurnSpec, Dynamics, JamSpec, PartitionSpec, StaggerSpec};
 
-use crate::events::ScenarioEvent;
-
-/// Which algorithm a scenario cell runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Workload {
-    /// `Compete({s})` broadcast from node 0 (Theorem 7).
-    Broadcast,
-    /// Leader election (Theorem 8).
-    LeaderElection,
-    /// Radio MIS (Theorem 14).
-    Mis,
-    /// Streaming traffic: a multi-message gossip pipeline with a
-    /// deterministic arrival plan and a delivery ledger.
-    Traffic,
-}
-
-impl Workload {
-    /// Short stable name for tables and JSON. Doubles as the
-    /// `radionet_api` task-registry key, so a [`Scenario`] converts to a
-    /// [`RunSpec`](radionet_api::RunSpec) by name alone.
-    pub fn name(self) -> &'static str {
-        match self {
-            Workload::Broadcast => "broadcast",
-            Workload::LeaderElection => "leader-election",
-            Workload::Mis => "mis",
-            Workload::Traffic => "traffic.gossip",
-        }
-    }
-
-    /// The step timebase dynamics fractions refer to: an a-priori
-    /// lower-envelope of how long the workload keeps running (its own
-    /// budget), computable from [`NetInfo`] alone.
-    ///
-    /// Delegates to the corresponding façade task's
-    /// [`Task::timebase`](radionet_api::Task::timebase) — there is exactly
-    /// one definition of each budget (for the `Compete`-based workloads,
-    /// `CompeteConfig::default().propagation_budget`; for MIS, the round
-    /// budget of `MisConfig::default`), so a scenario and its derived
-    /// [`RunSpec`](radionet_api::RunSpec) can never time their event
-    /// scripts differently.
-    pub fn timebase(self, info: &NetInfo) -> u64 {
-        use radionet_api::tasks::{BroadcastTask, LeaderElectionTask, MisTask, TrafficTask};
-        use radionet_api::{Task, TrafficKind};
-        match self {
-            Workload::Broadcast => BroadcastTask.timebase(info),
-            Workload::LeaderElection => LeaderElectionTask.timebase(info),
-            Workload::Mis => MisTask.timebase(info),
-            Workload::Traffic => TrafficTask::new(TrafficKind::Gossip).timebase(info),
-        }
-    }
-}
-
-/// A fully specified named scenario.
+/// A named [`RunSpec`] template.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Unique name (used in tables, JSON, and per-cell seeding).
     pub name: String,
-    /// The base graph family.
-    pub family: Family,
-    /// The algorithm under test.
-    pub workload: Workload,
-    /// The reception rule.
-    pub reception: ReceptionMode,
-    /// The dynamics recipe.
-    pub dynamics: Dynamics,
+    /// The cell template. Its `n`, `kernel` and `seed` are placeholders:
+    /// a [`SweepConfig`](crate::SweepConfig) sets them per cell.
+    pub spec: RunSpec,
 }
 
 impl Scenario {
-    /// Materializes the event script for one cell.
-    ///
-    /// Deterministic in `(graph, info, seed)`; fractions in the dynamics
-    /// spec are scaled by [`Workload::timebase`].
-    pub fn events_for(&self, g: &Graph, info: &NetInfo, seed: u64) -> Vec<ScenarioEvent> {
-        self.dynamics.events_for(g, self.workload.timebase(info), seed)
+    /// A scenario running registry task `task` on `family` under
+    /// `dynamics`, with protocol-model reception.
+    pub fn new(name: &str, task: &str, family: Family, dynamics: Dynamics) -> Self {
+        Scenario {
+            name: name.to_string(),
+            spec: RunSpec::new(task, family, 0).with_dynamics(dynamics),
+        }
     }
 
     /// The named presets swept by `exp_scenarios`: every dynamics recipe
     /// crossed with a geometric and a general family, broadcast as the
     /// common workload plus leader-election and MIS spot checks.
     pub fn catalogue() -> Vec<Scenario> {
-        let mk = |name: &str, family, workload, dynamics| Scenario {
-            name: name.to_string(),
-            family,
-            workload,
-            reception: ReceptionMode::Protocol,
-            dynamics,
-        };
         let churn = Dynamics::preset("churn").expect("standard preset");
         let split = Dynamics::preset("partition-repair").expect("standard preset");
         let jam = Dynamics::preset("jamming").expect("standard preset");
         let wake = Dynamics::preset("staggered-wake").expect("standard preset");
         vec![
-            mk("grid-static", Family::Grid, Workload::Broadcast, Dynamics::Static),
-            mk("grid-churn", Family::Grid, Workload::Broadcast, churn),
-            mk("grid-split-heal", Family::Grid, Workload::Broadcast, split),
-            mk("grid-jammed", Family::Grid, Workload::Broadcast, jam),
-            mk("grid-staggered", Family::Grid, Workload::Broadcast, wake),
-            mk("udg-churn", Family::UnitDisk, Workload::Broadcast, churn),
-            mk("udg-jammed", Family::UnitDisk, Workload::Broadcast, jam),
-            mk("gnp-split-heal", Family::Gnp, Workload::Broadcast, split),
-            mk("gnp-churn-le", Family::Gnp, Workload::LeaderElection, churn),
-            mk("grid-churn-mis", Family::Grid, Workload::Mis, churn),
-            mk("udg-jammed-mis", Family::UnitDisk, Workload::Mis, jam),
+            Scenario::new("grid-static", "broadcast", Family::Grid, Dynamics::Static),
+            Scenario::new("grid-churn", "broadcast", Family::Grid, churn),
+            Scenario::new("grid-split-heal", "broadcast", Family::Grid, split),
+            Scenario::new("grid-jammed", "broadcast", Family::Grid, jam),
+            Scenario::new("grid-staggered", "broadcast", Family::Grid, wake),
+            Scenario::new("udg-churn", "broadcast", Family::UnitDisk, churn),
+            Scenario::new("udg-jammed", "broadcast", Family::UnitDisk, jam),
+            Scenario::new("gnp-split-heal", "broadcast", Family::Gnp, split),
+            Scenario::new("gnp-churn-le", "leader-election", Family::Gnp, churn),
+            Scenario::new("grid-churn-mis", "mis", Family::Grid, churn),
+            Scenario::new("udg-jammed-mis", "mis", Family::UnitDisk, jam),
         ]
     }
 
@@ -129,48 +65,26 @@ impl Scenario {
     /// positions (geometry-calibrated — no hand-shipped coordinates).
     ///
     /// Kept separate from [`Scenario::catalogue`] because the frozen
-    /// pre-façade reference pipeline (`run_cell_reference`) predates
-    /// mobility and is pinned byte-for-byte against that list only; the
-    /// mobility cells run purely through the façade.
+    /// pre-façade reference pipeline (in the `facade_equiv` tests)
+    /// predates mobility and is pinned byte-for-byte against that list
+    /// only; the mobility cells run purely through the façade.
     pub fn mobility_catalogue() -> Vec<Scenario> {
-        let mk = |name: &str, family, workload, dynamics| Scenario {
-            name: name.to_string(),
-            family,
-            workload,
-            reception: ReceptionMode::Protocol,
-            dynamics,
+        let mk = |name: &str, task: &str, family, preset: &str| {
+            let dynamics = Dynamics::preset(preset).expect("standard mobility preset");
+            Scenario::new(name, task, family, dynamics)
         };
-        let sinr = |name: &str, family, workload, dynamics| Scenario {
-            name: name.to_string(),
-            family,
-            workload,
-            reception: ReceptionMode::Sinr(SinrConfig::geometric()),
-            dynamics,
+        let sinr = |scenario: Scenario| Scenario {
+            spec: scenario.spec.with_reception(ReceptionMode::Sinr(SinrConfig::geometric())),
+            ..scenario
         };
-        let preset = |name: &str| Dynamics::preset(name).expect("standard mobility preset");
         vec![
-            mk("udg-waypoint", Family::UnitDisk, Workload::Broadcast, preset("mobility:waypoint")),
-            mk("udg-levy", Family::UnitDisk, Workload::Broadcast, preset("mobility:levy")),
-            mk("quasi-walk", Family::QuasiUnitDisk, Workload::Broadcast, preset("mobility:walk")),
-            mk("ball3-group", Family::UnitBall3, Workload::Broadcast, preset("mobility:group")),
-            mk(
-                "georadio-waypoint-mis",
-                Family::GeometricRadio,
-                Workload::Mis,
-                preset("mobility:waypoint"),
-            ),
-            sinr(
-                "udg-waypoint-sinr",
-                Family::UnitDisk,
-                Workload::Broadcast,
-                preset("mobility:waypoint"),
-            ),
-            sinr(
-                "ball3-group-sinr",
-                Family::UnitBall3,
-                Workload::Broadcast,
-                preset("mobility:group"),
-            ),
+            mk("udg-waypoint", "broadcast", Family::UnitDisk, "mobility:waypoint"),
+            mk("udg-levy", "broadcast", Family::UnitDisk, "mobility:levy"),
+            mk("quasi-walk", "broadcast", Family::QuasiUnitDisk, "mobility:walk"),
+            mk("ball3-group", "broadcast", Family::UnitBall3, "mobility:group"),
+            mk("georadio-waypoint-mis", "mis", Family::GeometricRadio, "mobility:waypoint"),
+            sinr(mk("udg-waypoint-sinr", "broadcast", Family::UnitDisk, "mobility:waypoint")),
+            sinr(mk("ball3-group-sinr", "broadcast", Family::UnitBall3, "mobility:group")),
         ]
     }
 
@@ -180,17 +94,10 @@ impl Scenario {
     /// frozen pre-façade reference pipeline predates traffic workloads
     /// and is pinned against that list only.
     pub fn traffic_catalogue() -> Vec<Scenario> {
-        let mk = |name: &str, family, dynamics| Scenario {
-            name: name.to_string(),
-            family,
-            workload: Workload::Traffic,
-            reception: ReceptionMode::Protocol,
-            dynamics,
-        };
         let churn = Dynamics::preset("churn").expect("standard preset");
         vec![
-            mk("grid-traffic", Family::Grid, Dynamics::Static),
-            mk("grid-traffic-churn", Family::Grid, churn),
+            Scenario::new("grid-traffic", "traffic.gossip", Family::Grid, Dynamics::Static),
+            Scenario::new("grid-traffic-churn", "traffic.gossip", Family::Grid, churn),
         ]
     }
 
@@ -207,6 +114,8 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use radionet_api::TaskRegistry;
+    use radionet_sim::NetInfo;
 
     #[test]
     fn catalogue_names_unique_and_serde_stable() {
@@ -225,7 +134,7 @@ mod tests {
         let cat = Scenario::catalogue();
         for required in ["churn", "partition-repair", "jamming", "staggered-wake", "static"] {
             assert!(
-                cat.iter().any(|s| s.dynamics.name() == required),
+                cat.iter().any(|s| s.spec.dynamics.name() == required),
                 "catalogue misses {required}"
             );
         }
@@ -240,12 +149,12 @@ mod tests {
             base.len() + Scenario::mobility_catalogue().len() + Scenario::traffic_catalogue().len()
         );
         assert!(
-            cat.iter().any(|s| s.workload == Workload::Traffic),
+            cat.iter().any(|s| s.spec.task.starts_with("traffic.")),
             "extended catalogue misses the streaming-traffic cells"
         );
         for required in ["mobility:waypoint", "mobility:walk", "mobility:levy", "mobility:group"] {
             assert!(
-                cat.iter().any(|s| s.dynamics.name() == required),
+                cat.iter().any(|s| s.spec.dynamics.name() == required),
                 "extended catalogue misses {required}"
             );
         }
@@ -256,17 +165,17 @@ mod tests {
         // Mobility scenarios must stay on families with an embedding
         // (growth-bounded is not enough: Path/Grid have no positions).
         for sc in Scenario::mobility_catalogue() {
-            assert!(sc.family.has_embedding(), "{} has no point embedding", sc.name);
+            assert!(sc.spec.family.has_embedding(), "{} has no point embedding", sc.name);
         }
         // The physical-layer mobility cells are present and geometry-
         // sourced (no hand-shipped coordinates in the catalogue).
         let sinr: Vec<Scenario> = Scenario::mobility_catalogue()
             .into_iter()
-            .filter(|s| s.reception.name() == "sinr")
+            .filter(|s| s.spec.reception.name() == "sinr")
             .collect();
         assert!(sinr.len() >= 2, "catalogue misses the SINR mobility cells");
         for sc in &sinr {
-            match &sc.reception {
+            match &sc.spec.reception {
                 ReceptionMode::Sinr(cfg) => assert_eq!(
                     cfg.positions,
                     radionet_sim::PositionSource::Geometry,
@@ -303,14 +212,17 @@ mod tests {
 
     #[test]
     fn events_deterministic_and_sound() {
+        let registry = TaskRegistry::standard();
         let g = Family::Grid.instantiate(49, 1);
         let info = NetInfo::exact(&g);
         for sc in Scenario::catalogue() {
-            let a = sc.events_for(&g, &info, 42);
-            let b = sc.events_for(&g, &info, 42);
+            let timebase = registry.get(&sc.spec.task).expect("catalogue task").timebase(&info);
+            let events = |seed| sc.spec.dynamics.events_for(&g, timebase, seed);
+            let a = events(42);
+            let b = events(42);
             assert_eq!(a, b, "{} not deterministic", sc.name);
-            let c = sc.events_for(&g, &info, 43);
-            if !matches!(sc.dynamics, Dynamics::Static | Dynamics::PartitionRepair(_)) {
+            let c = events(43);
+            if !matches!(sc.spec.dynamics, Dynamics::Static | Dynamics::PartitionRepair(_)) {
                 assert_ne!(a, c, "{} ignores the seed", sc.name);
             }
             for e in &a {
@@ -322,21 +234,21 @@ mod tests {
         }
     }
 
+    /// Every catalogue task resolves in the standard registry, and the
+    /// algorithm tasks' timebases (which scale the dynamics fractions) grow
+    /// with the network.
     #[test]
-    fn timebase_scales_with_size() {
+    fn catalogue_tasks_resolve_and_timebases_scale() {
+        let registry = TaskRegistry::standard();
+        for sc in Scenario::extended_catalogue() {
+            assert!(registry.get(&sc.spec.task).is_some(), "{}: no task {}", sc.name, sc.spec.task);
+        }
         let small = NetInfo { n: 64, d: 14, alpha: 32.0 };
         let big = NetInfo { n: 1024, d: 62, alpha: 512.0 };
-        for w in [Workload::Broadcast, Workload::LeaderElection, Workload::Mis] {
-            assert!(w.timebase(&big) > w.timebase(&small), "{}", w.name());
-            assert!(w.timebase(&small) > 100, "{} timebase degenerate", w.name());
-        }
-    }
-
-    #[test]
-    fn workload_names_resolve_in_the_standard_registry() {
-        let registry = radionet_api::TaskRegistry::standard();
-        for w in [Workload::Broadcast, Workload::LeaderElection, Workload::Mis] {
-            assert!(registry.get(w.name()).is_some(), "{} has no task", w.name());
+        for key in ["broadcast", "leader-election", "mis"] {
+            let task = registry.get(key).expect("standard task");
+            assert!(task.timebase(&big) > task.timebase(&small), "{key}");
+            assert!(task.timebase(&small) > 100, "{key} timebase degenerate");
         }
     }
 }

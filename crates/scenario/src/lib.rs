@@ -14,14 +14,15 @@
 //!   immutable CSR graph implementing the engine's
 //!   [`TopologyView`](radionet_sim::TopologyView) (also re-exported from
 //!   `radionet_api`);
-//! * [`catalogue`] — serde-able named scenarios composing a graph family,
-//!   a workload, a reception mode, and a dynamics recipe — i.e. *named*
-//!   [`RunSpec`](radionet_api::RunSpec) families;
-//! * [`runner`] — a rayon-parallel sweep executor with deterministic
-//!   per-cell seeding (shared with the façade via
-//!   [`radionet_api::seeds`]); parallel and sequential runs are
-//!   byte-identical, and each cell is a thin adapter over
-//!   [`Driver::run`](radionet_api::Driver::run).
+//! * [`catalogue`] — serde-able named scenarios: each is a name plus a
+//!   [`RunSpec`](radionet_api::RunSpec) template fixing the task, graph
+//!   family, reception mode, and dynamics recipe;
+//! * [`runner`] — [`SweepConfig`], which expands (scenario × size × rep)
+//!   into `RunSpec`s with deterministic per-cell seeds (shared with the
+//!   façade via [`radionet_api::seeds`]), and the conversion of a sweep's
+//!   reports into analysis rows. Sweeps execute through
+//!   [`Driver::run_sweep`](radionet_api::Driver::run_sweep), whose output
+//!   is byte-identical at every chunk size.
 //!
 //! # Example: broadcast across a partition that heals
 //!
@@ -54,10 +55,7 @@ pub use radionet_api::dynamics;
 pub use radionet_api::events;
 pub mod runner;
 
-pub use catalogue::{Dynamics, Scenario, Workload};
+pub use catalogue::{Dynamics, Scenario};
 pub use dynamics::DynamicTopology;
 pub use events::{EventKind, ScenarioEvent};
-pub use runner::{
-    run_cell, run_sweep_parallel, run_sweep_sequential, to_record, CellResult, CellSpec,
-    SweepConfig,
-};
+pub use runner::{to_record, SweepConfig};

@@ -21,9 +21,10 @@
 //! * [`shard`] — a **sharded sweep coordinator**: a spec list is
 //!   partitioned by the deterministic per-cell seed stream, shards execute
 //!   on scoped threads (or spawned `radionetd --worker` subprocesses), and
-//!   the merged output stream is **byte-identical** to the sequential
-//!   [`Driver::run_sweep`](radionet_api::Driver::run_sweep) — purity makes
-//!   the merge a trivial reorder, and the shard-merge tests pin it.
+//!   the merged output stream is **byte-identical** to the driver's one
+//!   sweep method, [`Driver::run_sweep`](radionet_api::Driver::run_sweep),
+//!   at any chunk size — purity makes the merge a trivial reorder, and the
+//!   shard-merge tests pin it.
 //! * [`protocol`] / [`server`] / [`client`] — a newline-delimited JSON
 //!   request/response protocol (`submit`, `status`, `result`, `sweep`,
 //!   `stats`, `shutdown`) served over `std::net::TcpListener` by a

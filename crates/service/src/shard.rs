@@ -7,10 +7,10 @@
 //! shards the same way, on any machine, so a distributed run is as
 //! reproducible as a local one. Workers execute their shard *in order*;
 //! the coordinator then reassembles by original index and streams into the
-//! caller's [`ResultSink`] exactly as
-//! [`Driver::run_sweep`](radionet_api::Driver::run_sweep) would have —
+//! caller's [`ResultSink`] exactly as the driver's one sweep method,
+//! [`Driver::run_sweep`](radionet_api::Driver::run_sweep), would have —
 //! the shard-merge test suite pins 2-, 3- and 7-way shardings
-//! byte-identical to the sequential stream over the extended catalogue,
+//! byte-identical to its stream over the extended catalogue,
 //! `fell_back` telemetry included (it lives in each report's stats and
 //! rides the same bytes).
 //!
@@ -48,8 +48,9 @@ pub fn shard_of(index: usize, spec: &RunSpec, shards: usize) -> usize {
 }
 
 /// Runs `specs` across `shards` workers and streams the merged reports to
-/// `sink` in original order — byte-identical to the sequential
-/// [`Driver::run_sweep`](radionet_api::Driver::run_sweep) stream. Returns
+/// `sink` in original order — byte-identical to the
+/// [`Driver::run_sweep`](radionet_api::Driver::run_sweep) stream at any
+/// chunk size. Returns
 /// the number of reports emitted.
 ///
 /// On a failing spec the sink still receives the longest in-order prefix
@@ -247,7 +248,7 @@ mod tests {
         let driver = Driver::standard();
         let list = specs(10);
         let mut seq = Vec::new();
-        driver.run_sweep(&list, &mut JsonlSink::new(&mut seq)).unwrap();
+        driver.run_sweep(list.iter().cloned(), 1, &mut JsonlSink::new(&mut seq)).unwrap();
         let mut sharded = Vec::new();
         let n = run_sweep_sharded(
             &driver,
@@ -290,7 +291,7 @@ mod tests {
         let served = worker_loop(&driver, input.as_bytes(), &mut out).unwrap();
         assert_eq!(served, 3);
         let mut expect = Vec::new();
-        driver.run_sweep(&list, &mut JsonlSink::new(&mut expect)).unwrap();
+        driver.run_sweep(list, 1, &mut JsonlSink::new(&mut expect)).unwrap();
         assert_eq!(out, expect, "worker output is the sequential sweep stream");
     }
 }

@@ -1,13 +1,13 @@
 //! Shard-merge determinism over the extended catalogue: sharded sweeps
 //! (2, 3, and 7 shards) must produce a JSONL stream byte-identical to the
-//! sequential [`Driver::run_sweep`] output, `fell_back` propagation
-//! included — and subprocess workers must be indistinguishable from
-//! in-process threads.
+//! sequential (`chunk = 1`) [`Driver::run_sweep`] output, `fell_back`
+//! propagation included — and subprocess workers must be indistinguishable
+//! from in-process threads.
 
 use radionet_api::{Driver, JsonlSink, RunSpec};
 use radionet_graph::families::Family;
-use radionet_scenario::runner::{cell_result_from_report, spec_for_cell, SweepConfig};
-use radionet_scenario::Scenario;
+use radionet_scenario::runner::to_run_records;
+use radionet_scenario::{Scenario, SweepConfig};
 use radionet_service::{run_sweep_sharded, ShardMode};
 use radionet_sim::Kernel;
 
@@ -19,14 +19,15 @@ fn extended_cells(kernel: Kernel) -> (SweepConfig, Vec<RunSpec>) {
         sizes: vec![36],
         seeds: 1,
         base_seed: 0x00DA_51E5,
+        kernel,
     };
-    let specs = config.cells().iter().map(|cell| spec_for_cell(cell, kernel)).collect();
+    let specs = config.specs().collect();
     (config, specs)
 }
 
 fn sequential_bytes(driver: &Driver, specs: &[RunSpec]) -> Vec<u8> {
     let mut out = Vec::new();
-    driver.run_sweep(specs, &mut JsonlSink::new(&mut out)).unwrap();
+    driver.run_sweep(specs.iter().cloned(), 1, &mut JsonlSink::new(&mut out)).unwrap();
     out
 }
 
@@ -54,7 +55,7 @@ fn sharded_sweeps_are_byte_identical_over_the_extended_catalogue() {
 fn fell_back_propagates_through_the_merged_stream() {
     // The event kernel is where sparse→dense fallbacks live; `fell_back`
     // rides each report's stats inside the same bytes, and the derived
-    // per-cell rows must agree between sequential and sharded execution.
+    // sweep rows must mirror each merged report's fallback counter.
     let driver = Driver::standard();
     let (config, specs) = extended_cells(Kernel::Event);
     let sequential = sequential_bytes(&driver, &specs);
@@ -66,15 +67,14 @@ fn fell_back_propagates_through_the_merged_stream() {
         .lines()
         .map(|line| serde_json::from_str(line).unwrap())
         .collect();
-    let cells = config.cells();
-    assert_eq!(cells.len(), reports.len());
-    for (cell, report) in cells.iter().zip(&reports) {
-        let row = cell_result_from_report(cell, report, None);
+    let rows = to_run_records(&config, &reports);
+    assert_eq!(rows.len(), specs.len());
+    for (row, report) in rows.iter().zip(&reports) {
+        let fell_back = if report.stats.kernel_fallbacks > 0 { 1.0 } else { 0.0 };
         assert_eq!(
-            row.fell_back,
-            report.stats.kernel_fallbacks > 0,
+            row.metrics["fell_back"], fell_back,
             "fell_back must mirror the merged report's fallback counter for {}",
-            row.scenario
+            row.params["scenario"]
         );
     }
 }

@@ -22,8 +22,8 @@ use radionet::api::{
 };
 use radionet::graph::families::Family;
 use radionet::journal::{bisect, ClassMask, EventKind, Journal};
-use radionet::scenario::runner::{spec_for_cell, SweepConfig};
 use radionet::scenario::Scenario;
+use radionet::scenario::SweepConfig;
 use radionet::service::{cli as service_cli, run_sweep_sharded, ShardMode};
 use radionet::sim::{Kernel, ReceptionMode, SinrConfig};
 use radionet::telemetry::{ProgressEvent, ProgressMeter, ProgressSink};
@@ -458,7 +458,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
         }
         scenarios.retain(|s| names.contains(&s.name));
     }
-    let config = SweepConfig { scenarios, sizes, seeds, base_seed };
+    let config = SweepConfig { scenarios, sizes, seeds, base_seed, kernel };
 
     let w = open_out(out.as_deref())?;
     let mut sink: Box<dyn ResultSink> = match format.as_str() {
@@ -497,20 +497,17 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
         // The sharded coordinator partitions by cell position, so it needs
         // the whole spec list up front (O(cells) memory — the trade for
         // multi-worker execution); the merged stream stays byte-identical.
-        let specs: Vec<RunSpec> =
-            config.cells_iter().map(|cell| spec_for_cell(&cell, kernel)).collect();
+        let specs: Vec<RunSpec> = config.specs().collect();
         let mode = match shard_exec {
             Some(exe) => ShardMode::Subprocess { exe: exe.into() },
             None => ShardMode::InProcess,
         };
         run_sweep_sharded(&driver, &specs, shards, &mode, &mut tally).map_err(|e| e.to_string())?
     } else {
-        // Cells are generated lazily and specs exist only chunk-at-a-time,
-        // so the sweep's memory footprint is O(chunk) regardless of size.
-        let specs = config.cells_iter().map(|cell| spec_for_cell(&cell, kernel));
-        driver
-            .run_sweep_streaming(specs, if sequential { 1 } else { chunk }, &mut tally)
-            .map_err(|e| e.to_string())?
+        // Specs are generated lazily and exist only chunk-at-a-time, so
+        // the sweep's memory footprint is O(chunk) regardless of size.
+        let chunk = if sequential { 1 } else { chunk };
+        driver.run_sweep(config.specs(), chunk, &mut tally).map_err(|e| e.to_string())?
     };
     if tally.fallbacks > 0 {
         eprintln!(
@@ -697,9 +694,7 @@ fn cmd_catalogue(rest: &[String]) -> Result<(), String> {
         }
         [flag] if flag == "--cells" => {
             // The catalogue expanded at the default sweep shape, as specs.
-            let config = SweepConfig::catalogue(vec![36], 1, 0);
-            let specs: Vec<RunSpec> =
-                config.cells().iter().map(|c| spec_for_cell(c, Kernel::default())).collect();
+            let specs: Vec<RunSpec> = SweepConfig::catalogue(vec![36], 1, 0).specs().collect();
             println!("{}", serde_json::to_string_pretty(&specs).map_err(|e| e.to_string())?);
             Ok(())
         }
