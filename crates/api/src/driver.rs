@@ -217,8 +217,8 @@ impl Driver {
 
     /// The unobserved hot path: `Sim` monomorphizes over the
     /// [`NullObserver`](radionet_sim::NullObserver), so every journal and
-    /// metrics site compiles out (the E15 and E21 bench smokes pin the
-    /// overhead at zero).
+    /// metrics site compiles out (the E21 bench smoke pins the overhead at
+    /// zero).
     fn run_plain(&self, spec: &RunSpec) -> Result<RunReport, RunError> {
         let m = self.materialize(spec)?;
         let mut sim =

@@ -11,16 +11,33 @@ use radionet_sim::NetInfo;
 pub enum Scale {
     /// Small sizes and few seeds (seconds).
     Quick,
-    /// The sizes reported in EXPERIMENTS.md (minutes).
+    /// The sizes behind the recorded tables of the [`crate::experiments`]
+    /// registry (minutes).
     Full,
 }
 
 impl Scale {
-    /// Reads `RADIONET_SCALE` (`quick`/`full`; default `full` in binaries).
-    pub fn from_env() -> Self {
-        match std::env::var("RADIONET_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Full,
+    /// Reads `RADIONET_SCALE` through [`Scale::parse`].
+    ///
+    /// # Errors
+    ///
+    /// Any value other than `quick` or `full`.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("RADIONET_SCALE");
+        Self::parse(value.map(|v| v.to_string_lossy().into_owned()).as_deref())
+    }
+
+    /// Parses a scale setting: unset is `Full`, and `quick` and `full` are
+    /// the only accepted values, so a typo never silently runs Full scale.
+    ///
+    /// # Errors
+    ///
+    /// Any other value, named in the message next to the accepted two.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("full") => Ok(Scale::Full),
+            Some("quick") => Ok(Scale::Quick),
+            Some(other) => Err(format!("RADIONET_SCALE={other:?}: expected `quick` or `full`")),
         }
     }
 
@@ -138,6 +155,17 @@ mod tests {
         assert_eq!(case.n, 64);
         assert_eq!(case.d(), 14);
         assert!((case.alpha() - 32.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn scale_parse_rejects_typos() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Full));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        for typo in ["quik", "Quick", "", "fast"] {
+            let err = Scale::parse(Some(typo)).unwrap_err();
+            assert!(err.contains("`quick`") && err.contains("`full`"), "{err}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Experiment implementations, one per DESIGN.md §4 entry.
+//! Experiment implementations and their registry, [`ALL`]. This table is
+//! the index of the harness; `exp <id>` runs one row, `exp all` every row.
 //!
 //! | id | claim | function |
 //! |----|-------|----------|
@@ -14,6 +15,7 @@
 //! | E10 | Lemmas 12–13 (golden rounds) | [`e10_golden_rounds`] |
 //! | E11 | design ablations | [`e11_ablations`] |
 //! | E12 | S2 constant calibration | [`e12_calibration`] |
+//! | E13 | reception-model comparison | [`e13_models`] |
 //! | E14 | dynamic-network scenarios | [`e14_scenarios`] |
 //! | E15 | sparse step-kernel throughput | [`e15_throughput`] |
 //! | E16 | unified façade coverage | [`e16_facade`] |
@@ -70,8 +72,9 @@ pub(crate) fn print_notes(record: &ExperimentRecord) {
 }
 
 /// One entry of the experiment registry.
+#[derive(Debug)]
 pub struct ExperimentDef {
-    /// Stable id (`E1`…): the record filename and the `exp_*` binary key.
+    /// Stable id (`E1`…): the record filename and the `exp` argument.
     pub id: &'static str,
     /// One-line claim, for listings.
     pub claim: &'static str,
@@ -79,12 +82,9 @@ pub struct ExperimentDef {
     pub run: fn(crate::Scale) -> ExperimentRecord,
 }
 
-/// The experiment registry, in run order — the **single** list every
-/// aggregate consumer derives from. `run_all` iterates it and the `exp_*`
-/// binaries resolve themselves through [`find`], so adding an experiment
-/// here is sufficient to reach the whole harness (and forgetting to add it
-/// makes the new binary fail loudly instead of silently skipping the
-/// aggregate run).
+/// The experiment registry, in run order — the **single** list the `exp`
+/// binary resolves its arguments against through [`select`], so adding an
+/// experiment here is sufficient to reach the whole harness.
 pub const ALL: &[ExperimentDef] = &[
     ExperimentDef { id: "E1", claim: "Claim 10 (Decay amplification)", run: e1_decay },
     ExperimentDef { id: "E2", claim: "Lemma 11 (EstimateEffectiveDegree)", run: e2_eed },
@@ -139,9 +139,31 @@ pub fn find(id: &str) -> Option<&'static ExperimentDef> {
     ALL.iter().find(|e| e.id.eq_ignore_ascii_case(id))
 }
 
-/// Runs every experiment at the given scale, returning all records.
-pub fn run_all(scale: crate::Scale) -> Vec<ExperimentRecord> {
-    ALL.iter().map(|e| (e.run)(scale)).collect()
+/// Resolves `exp`'s arguments: `all` alone is the whole registry in
+/// order; otherwise each argument is an id (case-insensitive), run in the
+/// order given.
+///
+/// # Errors
+///
+/// An argument that is not a registered id; the message names the known
+/// ids.
+pub fn select(args: &[String]) -> Result<Vec<&'static ExperimentDef>, String> {
+    if let [only] = args {
+        if only == "all" {
+            return Ok(ALL.iter().collect());
+        }
+    }
+    args.iter()
+        .map(|id| {
+            find(id).ok_or_else(|| {
+                let known: Vec<&str> = ALL.iter().map(|e| e.id).collect();
+                format!(
+                    "unknown experiment {id:?}; known ids: {} (or `all` alone)",
+                    known.join(" ")
+                )
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -160,5 +182,16 @@ mod tests {
             assert!(!e.claim.is_empty());
         }
         assert!(find("E99").is_none());
+    }
+
+    #[test]
+    fn select_resolves_ids_in_order_or_all() {
+        let args = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let ids = |defs: Vec<&ExperimentDef>| defs.iter().map(|e| e.id).collect::<Vec<_>>();
+        assert_eq!(ids(select(&args(&["e21", "E14"])).unwrap()), ["E21", "E14"]);
+        assert_eq!(select(&args(&["all"])).unwrap().len(), ALL.len());
+        let err = select(&args(&["E14", "E99"])).unwrap_err();
+        assert!(err.contains("E99") && err.contains("E22"), "{err}");
+        assert!(select(&args(&["all", "E1"])).is_err());
     }
 }

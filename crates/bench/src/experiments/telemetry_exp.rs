@@ -1,17 +1,18 @@
 //! E21 — telemetry overhead guard: observing never steers, and the
 //! disabled path costs nothing.
 //!
-//! Two parts, mirroring E15's journal-off probe (Part 1b) one layer up:
+//! Two parts:
 //!
-//! 1. **Engine probe**: the E15 sparse Decay face-off workload runs under
-//!    the default null observer and under the live `Instrumented` observer
-//!    recording into a [`Registry`].
-//!    Reports and RNG fingerprints are asserted identical (hard — metrics
+//! 1. **Engine probe**, the harness's one observer-off guard: the E15
+//!    sparse Decay face-off workload runs under the default null observer
+//!    and under the live `Instrumented` observer recording into a
+//!    [`Registry`].
+//!    Reports and RNG fingerprints are asserted identical (hard — observing
 //!    must never perturb the deterministic surface), then the min-of-N
-//!    wall-clock ratio is checked with the E15 policy: soft warning at the
-//!    2% bar, hard assert at 15%. The live registry is also checked to
-//!    have actually recorded samples, so the ratio can't silently compare
-//!    dead code against dead code.
+//!    wall-clock ratio is checked: soft warning at the 2% bar, hard assert
+//!    at 15%. The live registry is also checked to have actually recorded
+//!    samples, so the ratio can't silently compare dead code against dead
+//!    code.
 //! 2. **Driver equivalence**: catalogue-style specs run through a plain
 //!    [`Driver`] and one with an attached registry; the full
 //!    [`RunReport`]s (RNG fingerprint included) must be bit-identical,
@@ -103,7 +104,7 @@ pub fn e21_telemetry(scale: Scale) -> ExperimentRecord {
         on_wall * 1e3,
         overhead * 1e2,
     ));
-    // E15 policy: a wall-clock ratio on a contended runner can flake, so
+    // A wall-clock ratio on a contended runner can flake, so
     // the 2% bar only warns; only a gross regression (instrumentation no
     // longer compiled out, or accumulators gone per-step-hot) fails hard.
     if overhead > 0.02 {

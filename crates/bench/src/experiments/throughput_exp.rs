@@ -25,9 +25,7 @@ use radionet_graph::generators;
 use radionet_graph::Graph;
 use radionet_primitives::decay::{DecayConfig, DecayProtocol, DecaySchedule};
 use radionet_primitives::flood::FloodProtocol;
-use radionet_sim::{
-    Kernel, NetInfo, NullSink, Observer, PhaseReport, ReceptionMode, Registry, Sim, StaticTopology,
-};
+use radionet_sim::{Kernel, NetInfo, Observer, PhaseReport, Sim, StaticTopology};
 use std::time::Instant;
 
 /// Nodes in the kernel face-off (a 316×316 grid).
@@ -41,8 +39,8 @@ fn faceoff_run(g: &Graph, info: NetInfo, kernel: Kernel, budget: u64) -> (PhaseR
     faceoff_on(Sim::new(g, info, 0xe15), kernel, budget)
 }
 
-/// The face-off workload on a prepared simulator under any observer (the
-/// E21 telemetry probe shares it); returns the report, RNG fingerprint and
+/// The face-off workload on a prepared simulator under any observer (E21's
+/// observer-off probe shares it); returns the report, RNG fingerprint and
 /// wall seconds.
 pub(super) fn faceoff_on<O: Observer>(
     mut sim: Sim<'_, StaticTopology, O>,
@@ -149,80 +147,6 @@ pub fn e15_throughput(scale: Scale) -> ExperimentRecord {
         ));
         eprintln!("E15: WARNING: sparse/dense speedup {speedup:.1}x below the 5x bar");
     }
-
-    // Part 1b: journal-off overhead probe. The engine is generic over an
-    // Observer; with the default NullObserver every emission site must
-    // monomorphize to dead code. Price that hot path against the live
-    // Instrumented observer with an *empty-mask* Recorder (every event
-    // filtered out at run time) and a registry on the sparse face-off:
-    // min-of-N wall clocks, so scheduler noise cancels. Observing must not
-    // perturb — reports and RNG streams are asserted identical across
-    // observers (hard); the wall-clock ratio check is soft at the 2% bar
-    // and hard only at 15%, same policy as the speedup bar.
-    const PROBE_RUNS: usize = 5;
-    // The sparse face-off finishes in single-digit milliseconds, far too
-    // short to resolve a 2% ratio; the probe runs a longer budget so the
-    // measured window is tens of milliseconds.
-    let probe_budget = budget * 8;
-    let mut null_wall = f64::INFINITY;
-    let mut rec_wall = f64::INFINITY;
-    let baseline = faceoff_run(&g, info, Kernel::Sparse, probe_budget);
-    for _ in 0..PROBE_RUNS {
-        let null = faceoff_run(&g, info, Kernel::Sparse, probe_budget);
-        let live = Sim::try_instrumented(
-            &g,
-            StaticTopology,
-            info,
-            0xe15,
-            ReceptionMode::Protocol,
-            NullSink,
-            Registry::default(),
-        )
-        .expect("protocol-mode construction is infallible");
-        let rec = faceoff_on(live, Kernel::Sparse, probe_budget);
-        assert_eq!((&null.0, null.1), (&baseline.0, baseline.1), "null observer not reproducible");
-        assert_eq!(
-            (&rec.0, rec.1),
-            (&baseline.0, baseline.1),
-            "an empty-mask Recorder perturbed the run"
-        );
-        null_wall = null_wall.min(null.2);
-        rec_wall = rec_wall.min(rec.2);
-    }
-    let overhead = null_wall / rec_wall - 1.0;
-    record.push(
-        RunRecord::new()
-            .param("workload", "journal-off-probe")
-            .param("kernel", "sparse")
-            .param("n", g.n())
-            .metric("null_wall_ms", null_wall * 1e3)
-            .metric("empty_recorder_wall_ms", rec_wall * 1e3)
-            .metric("overhead", overhead),
-    );
-    record.note(format!(
-        "journal-off probe: null observer {:.1} ms vs Instrumented with an empty-mask \
-         Recorder {:.1} ms (min of {PROBE_RUNS}; {:+.1}% = null relative to live); \
-         reports and RNG streams identical across observers",
-        null_wall * 1e3,
-        rec_wall * 1e3,
-        overhead * 1e2,
-    ));
-    if overhead > 0.02 {
-        record.note(format!(
-            "WARNING: the null observer measured {:.1}% slower than an empty-mask \
-             Instrumented one — the \
-             zero-cost-when-off claim expects ~0; expected only under heavy host contention",
-            overhead * 1e2
-        ));
-        eprintln!("E15: WARNING: null-observer overhead {:.1}% above the 2% bar", overhead * 1e2);
-    }
-    assert!(
-        overhead < 0.15,
-        "the null observer costs {:.1}% over an empty-mask Instrumented one — \
-         instrumentation is no longer \
-         compiled out of the journal-off hot path",
-        overhead * 1e2
-    );
 
     // Part 2: million-node broadcast (Full scale only — ~10 s release).
     if scale == Scale::Full {

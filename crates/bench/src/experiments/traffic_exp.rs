@@ -17,18 +17,20 @@
 //!    extremes are pinned: the clique (α = 1, D = 1) must out-deliver the
 //!    path (D = n − 1), whose floods cannot finish inside the drain
 //!    window. The full curve goes into the record for the paper plot.
-//! 3. **Sequential ≡ rayon**: a small spec sweep executed twice — a plain
-//!    loop and a rayon parallel iterator — must serialize to the
-//!    byte-identical report list (cell seeds are derived, never shared).
+//! 3. **Sequential ≡ rayon**: a small spec sweep executed twice through
+//!    `Driver::run_sweep` — chunk 1 (sequential) and one parallel chunk —
+//!    must serialize to the byte-identical report list (cell seeds are
+//!    derived, never shared).
 
 use super::{banner, print_notes};
 use crate::Scale;
 use radionet_analysis::table::f1;
 use radionet_analysis::{ExperimentRecord, RunRecord, Table};
-use radionet_api::{Arrival, Driver, PoissonArrival, RunReport, RunSpec, TrafficKind, TrafficSpec};
+use radionet_api::{
+    Arrival, Driver, MemorySink, PoissonArrival, RunReport, RunSpec, TrafficKind, TrafficSpec,
+};
 use radionet_graph::families::Family;
 use radionet_sim::Kernel;
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Node count of the at-scale cell (a 316×316 grid).
@@ -223,33 +225,33 @@ pub fn e22_traffic(scale: Scale) -> ExperimentRecord {
         f1(thpt(Family::Path)),
     ));
 
-    // Part 3: a spec sweep is embarrassingly parallel — sequential and
-    // rayon execution must serialize to the byte-identical report list.
-    let sweep: Vec<(TrafficKind, u64)> =
-        [TrafficKind::Gossip, TrafficKind::Unicast, TrafficKind::Multicast]
-            .into_iter()
-            .flat_map(|kind| (0..3u64).map(move |seed| (kind, seed)))
-            .collect();
-    let run_cell = |&(kind, seed): &(TrafficKind, u64)| {
-        let d = Driver::standard();
-        let (report, _) = run_traffic(
-            &d,
-            &format!("traffic.{}", kind.name()),
-            Family::Grid,
-            36,
-            seed,
-            TrafficSpec::default(),
-            Kernel::Sparse,
-        );
-        serde_json::to_string(&report).unwrap()
+    // Part 3: a spec sweep is embarrassingly parallel — the one sweep
+    // method at chunk 1 (sequential) and chunk 9 (one rayon block) must
+    // serialize to the byte-identical report list.
+    let sweep: Vec<RunSpec> = [TrafficKind::Gossip, TrafficKind::Unicast, TrafficKind::Multicast]
+        .into_iter()
+        .flat_map(|kind| {
+            (0..3u64).map(move |seed| {
+                RunSpec::new(format!("traffic.{}", kind.name()), Family::Grid, 36)
+                    .with_seed(seed)
+                    .with_traffic(TrafficSpec::default())
+                    .with_kernel(Kernel::Sparse)
+            })
+        })
+        .collect();
+    let run_chunked = |chunk: usize| -> Vec<String> {
+        let mut sink = MemorySink::default();
+        driver.run_sweep(sweep.iter().cloned(), chunk, &mut sink).expect("sweep specs are valid");
+        sink.reports.iter().map(|r| serde_json::to_string(r).unwrap()).collect()
     };
-    let sequential: Vec<String> = sweep.iter().map(run_cell).collect();
-    let parallel: Vec<String> = sweep.par_iter().map(run_cell).collect();
+    let sequential = run_chunked(1);
+    let parallel = run_chunked(sweep.len());
+    assert_eq!(sequential.len(), sweep.len());
     assert_eq!(sequential, parallel, "rayon execution changed a traffic report");
     record.note(format!(
-        "sequential ≡ rayon: {} traffic cells (3 kinds × 3 seeds) serialize byte-identically \
-         under both execution orders",
-        sweep.len()
+        "sequential ≡ rayon: {n} traffic cells (3 kinds × 3 seeds) serialize byte-identically \
+         through Driver::run_sweep at chunk 1 and chunk {n}",
+        n = sweep.len()
     ));
 
     println!("{}", table.render());

@@ -8,7 +8,7 @@ use crate::event::{EventClass, EventKind};
 /// The journal half of the engine's `Observer`: every emission site is
 /// guarded by `ENABLED`, a monomorphized constant — with [`NullSink`] (the
 /// default) the guard folds to `if false` and the whole instrumentation
-/// compiles out of the hot path. The E15 bench smoke pins this with a
+/// compiles out of the hot path. The E21 bench smoke pins this with a
 /// no-regression assertion.
 ///
 /// Protocol: the engine calls [`wants`](JournalSink::wants) before building

@@ -4,7 +4,7 @@
 //! graph family, a reception mode, and a dynamics recipe; a
 //! [`SweepConfig`](crate::SweepConfig) fills in the size, the kernel, and
 //! the per-cell seed. [`Scenario::catalogue`] lists the named presets the
-//! `exp_scenarios` binary sweeps.
+//! E14 experiment (`exp E14`) sweeps.
 //!
 //! The recipe vocabulary itself ([`Dynamics`] and its spec structs) lives
 //! in `radionet_api::spec`.
@@ -36,7 +36,7 @@ impl Scenario {
         }
     }
 
-    /// The named presets swept by `exp_scenarios`: every dynamics recipe
+    /// The named presets swept by experiment E14: every dynamics recipe
     /// crossed with a geometric and a general family, broadcast as the
     /// common workload plus leader-election and MIS spot checks.
     pub fn catalogue() -> Vec<Scenario> {

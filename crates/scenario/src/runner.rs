@@ -5,7 +5,7 @@
 //! and the simulator seed all derive from one mixed cell seed (see
 //! [`radionet_api::seeds`]) — so [`Driver::run_sweep`](radionet_api::Driver::run_sweep)
 //! emits byte-identical reports, in the same order, at every chunk size.
-//! `exp_scenarios` asserts exactly that before writing records.
+//! Experiment E14 asserts exactly that before writing records.
 
 use crate::catalogue::Scenario;
 use radionet_analysis::{ExperimentRecord, RunRecord};

@@ -8,9 +8,9 @@
 //! instrumentation site. With the default [`NoTelemetry`] the guards fold
 //! to `if false` and the whole metrics plane compiles out of the hot path
 //! — an uninstrumented run costs exactly what it did before this crate
-//! existed (the E21 bench smoke pins that with an E15-style overhead
-//! assertion). With a [`Registry`] the same sites record into shared
-//! counters, gauges, and [`Log2Histogram`]s.
+//! existed (the E21 bench smoke pins that with an overhead assertion).
+//! With a [`Registry`] the same sites record into shared counters, gauges,
+//! and [`Log2Histogram`]s.
 //!
 //! **The determinism contract.** Telemetry observes wall time and sizes;
 //! it never steers. Reports, RNG streams, journals, and cache keys are
