@@ -22,7 +22,7 @@
 //! | E17 | mobility: incremental index + time-resolved α/D | [`e17_mobility`] |
 //! | E18 | geometry-native SINR: sparse vs dense reception | [`e18_sinr`] |
 //! | E19 | event kernel: clock jumps over silent spans | [`e19_event`] |
-//! | E20 | radionetd serving: cache + sharded sweeps | [`e20_service`] |
+//! | E20 | radionetd serving: cache hits byte-identical to fresh runs | [`e20_service`] |
 //! | E21 | telemetry overhead guard | [`e21_telemetry`] |
 //! | E22 | streaming traffic pipeline | [`e22_traffic`] |
 
@@ -119,7 +119,7 @@ pub const ALL: &[ExperimentDef] = &[
     },
     ExperimentDef {
         id: "E20",
-        claim: "radionetd serving: repeated specs hit the cache, shards merge byte-identically",
+        claim: "radionetd serving: repeated specs hit the cache, byte-identical to fresh runs",
         run: e20_service,
     },
     ExperimentDef {

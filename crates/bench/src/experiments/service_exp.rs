@@ -1,28 +1,23 @@
 //! E20 — the `radionetd` serving layer: content-addressed caching on a
-//! repeated-spec workload, and sharded sweep determinism.
+//! repeated-spec workload.
 //!
-//! Two parts:
-//!
-//! 1. **Repeated-spec serving face-off**: a skewed workload (every
-//!    distinct spec requested many times, the realistic shape for a
-//!    parameter-tuning client or a dashboard re-querying fixed cells) is
-//!    served once cold — every request a fresh `Driver::run` — and once
-//!    through the [`ResultCache`]. Every served response is hard-asserted
-//!    byte-identical to the cold report (determinism is what makes the
-//!    cache sound); the cold/served throughput ratio is recorded, with a
-//!    soft ≥ 10× acceptance bar on the repeated-spec workload.
-//! 2. **Sharded sweep pin**: the sharded coordinator's merged JSONL stream
-//!    over a distinct-spec sweep is hard-asserted byte-identical to the
-//!    sequential `Driver::run_sweep` stream at 2 and 4 shards, and the
-//!    walls are recorded (informational — shard wins depend on cores).
+//! A skewed workload (every distinct spec requested many times, the
+//! realistic shape for a parameter-tuning client or a dashboard
+//! re-querying fixed cells) is served once cold — every request a fresh
+//! `Driver::run` — and once through the [`ResultCache`]. Every served
+//! response is hard-asserted byte-identical to the cold report
+//! (determinism is what makes the cache sound); the cold/served throughput
+//! ratio is recorded, with a soft ≥ 10× acceptance bar on the
+//! repeated-spec workload. Shard-merge byte identity is pinned by the
+//! service crate's `shard_merge` tests, over subprocess workers.
 
 use super::{banner, print_notes};
 use crate::Scale;
 use radionet_analysis::table::f1;
 use radionet_analysis::{ExperimentRecord, RunRecord, Table};
-use radionet_api::{Driver, JsonlSink, RunSpec};
+use radionet_api::{Driver, RunSpec};
 use radionet_graph::families::Family;
-use radionet_service::{run_sweep_sharded, CacheConfig, ResultCache, ShardMode};
+use radionet_service::{CacheConfig, ResultCache};
 use std::time::Instant;
 
 /// The distinct specs behind the repeated workload: a few tasks × families
@@ -41,15 +36,15 @@ fn distinct_specs(count: usize, n: usize) -> Vec<RunSpec> {
         .collect()
 }
 
-/// E20 — serving layer: cache throughput and sharded determinism.
+/// E20 — serving layer: cache throughput and byte identity.
 pub fn e20_service(scale: Scale) -> ExperimentRecord {
-    let claim = "radionetd serving: repeated specs hit the cache, shards merge byte-identically";
+    let claim = "radionetd serving: repeated specs hit the cache, byte-identical to fresh runs";
     banner("E20", claim);
     let mut record = ExperimentRecord::new("E20", claim);
-    let mut table = Table::new(["part", "arm", "requests", "distinct", "wall ms", "req/s"]);
+    let mut table = Table::new(["arm", "requests", "distinct", "wall ms", "req/s"]);
     let driver = Driver::standard();
 
-    // Part 1: the repeated-spec workload. The request sequence interleaves
+    // The repeated-spec workload. The request sequence interleaves
     // the distinct specs round-robin, so the cache warms in the first lap
     // and every later lap is pure hit traffic.
     let (distinct, repeats, n) = match scale {
@@ -105,7 +100,6 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
     for (arm, wall) in [("cold", cold_wall), ("served", served_wall)] {
         let rps = requests.len() as f64 / wall;
         table.row([
-            "repeated-spec".into(),
             arm.into(),
             requests.len().to_string(),
             distinct.to_string(),
@@ -114,7 +108,6 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
         ]);
         record.push(
             RunRecord::new()
-                .param("part", "repeated-spec")
                 .param("arm", arm)
                 .param("n", n)
                 .metric("requests", requests.len() as f64)
@@ -140,78 +133,6 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
         ));
         eprintln!("E20: WARNING: served/cold speedup {speedup:.1}x below the 10x bar");
     }
-
-    // Part 2: the sharded coordinator versus the sequential sweep, pinned
-    // byte-for-byte on a distinct-spec list (no cache in this path).
-    let sweep_specs = distinct_specs(
-        match scale {
-            Scale::Quick => 16,
-            Scale::Full => 24,
-        },
-        n,
-    );
-    let mut sequential = Vec::new();
-    let start = Instant::now();
-    driver
-        .run_sweep(sweep_specs.iter().cloned(), 1, &mut JsonlSink::new(&mut sequential))
-        .expect("sequential");
-    let seq_wall = start.elapsed().as_secs_f64().max(1e-9);
-    table.row([
-        "sharded-sweep".into(),
-        "sequential".into(),
-        sweep_specs.len().to_string(),
-        sweep_specs.len().to_string(),
-        f1(seq_wall * 1e3),
-        f1(sweep_specs.len() as f64 / seq_wall),
-    ]);
-    record.push(
-        RunRecord::new()
-            .param("part", "sharded-sweep")
-            .param("arm", "sequential")
-            .param("n", n)
-            .metric("cells", sweep_specs.len() as f64)
-            .metric("wall_ms", seq_wall * 1e3),
-    );
-    for shards in [2usize, 4] {
-        let mut merged = Vec::new();
-        let start = Instant::now();
-        let emitted = run_sweep_sharded(
-            &driver,
-            &sweep_specs,
-            shards,
-            &ShardMode::InProcess,
-            &mut JsonlSink::new(&mut merged),
-        )
-        .expect("sharded sweep");
-        let wall = start.elapsed().as_secs_f64().max(1e-9);
-        assert_eq!(emitted, sweep_specs.len());
-        // The hard acceptance: the merged stream is the sequential stream.
-        assert_eq!(merged, sequential, "{shards}-way shard merge diverged from sequential");
-        let arm = format!("{shards}-shard");
-        table.row([
-            "sharded-sweep".into(),
-            arm.clone(),
-            sweep_specs.len().to_string(),
-            sweep_specs.len().to_string(),
-            f1(wall * 1e3),
-            f1(sweep_specs.len() as f64 / wall),
-        ]);
-        record.push(
-            RunRecord::new()
-                .param("part", "sharded-sweep")
-                .param("arm", arm)
-                .param("n", n)
-                .param("shards", shards)
-                .metric("cells", sweep_specs.len() as f64)
-                .metric("wall_ms", wall * 1e3)
-                .metric("speedup_vs_sequential", seq_wall / wall),
-        );
-    }
-    record.note(format!(
-        "sharded sweep: 2- and 4-way merged streams byte-identical to the sequential \
-         {}-cell stream (walls informational; determinism is the claim)",
-        sweep_specs.len(),
-    ));
 
     println!("{}", table.render());
     print_notes(&record);

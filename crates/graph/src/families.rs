@@ -199,6 +199,18 @@ impl Family {
         }
     }
 
+    /// The inverse of [`Family::name`].
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, with a message listing the valid ones.
+    pub fn from_name(name: &str) -> Result<Family, String> {
+        Family::ALL.into_iter().find(|f| f.name() == name).ok_or_else(|| {
+            let all: Vec<&str> = Family::ALL.iter().map(|f| f.name()).collect();
+            format!("unknown family {name:?}; one of: {}", all.join(", "))
+        })
+    }
+
     /// Whether the family is growth-bounded (so `α = poly(D)`).
     pub fn is_growth_bounded(self) -> bool {
         Family::GROWTH_BOUNDED.contains(&self)
@@ -397,6 +409,15 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Family::ALL.len());
+    }
+
+    #[test]
+    fn from_name_inverts_name() {
+        for fam in Family::ALL {
+            assert_eq!(Family::from_name(fam.name()), Ok(fam));
+        }
+        let err = Family::from_name("torus").unwrap_err();
+        assert!(err.contains("torus") && err.contains("unit-disk"), "{err}");
     }
 
     #[test]

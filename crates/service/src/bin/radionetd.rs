@@ -3,8 +3,9 @@
 //! ```text
 //! radionetd [--addr A] [--workers N] [--queue-cap N] [--cache-bytes N]
 //!           [--audit-fraction F] [--persist FILE]
-//! radionetd --worker     # subprocess shard worker: spec JSONL on stdin,
-//!                        # report JSONL on stdout
+//! radionetd --worker     # subprocess sweep worker: spec JSONL on stdin,
+//!                        # report JSONL on stdout (`radionet sweep
+//!                        # --shard-exec radionetd`)
 //! ```
 //!
 //! `radionet serve` is an alias for the first form; clients are
@@ -15,11 +16,13 @@ use radionet_service::cli;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-radionetd — deterministic run service (content-addressed cache, job queue, shard workers)
+radionetd — deterministic run service (content-addressed cache, job queue, sweep workers)
 
 USAGE:
   radionetd [OPTIONS]     serve until a client sends {\"cmd\": \"shutdown\"}
-  radionetd --worker      shard worker: spec JSONL on stdin -> report JSONL on stdout
+  radionetd --worker      subprocess sweep worker: spec JSONL on stdin -> report JSONL
+                          on stdout, run in order (spawned by
+                          `radionet sweep --shard-exec radionetd --shards N`)
 
 OPTIONS:
   --addr A            bind address             [default: 127.0.0.1:7177; port 0 = free port]

@@ -29,7 +29,8 @@
 //! the hit ordinal), so audit behaviour is reproducible run-for-run. A
 //! mismatch increments `audit_failures`, replaces the poisoned entry, and
 //! serves the fresh report — a corrupted store degrades to correct-but-slow
-//! instead of wrong.
+//! instead of wrong. A hit whose stored line does not decode is audited the
+//! same way: it counts as a failed audit, never as a silent miss.
 
 use radionet_api::{seeds, Driver, RunError, RunReport, RunSpec, SpecHash};
 use serde::{Deserialize, Serialize};
@@ -100,11 +101,13 @@ struct Entry {
     from_disk: bool,
 }
 
-/// One row of the persistent JSONL store.
+/// One row of the persistent JSONL store. The report stays an untyped
+/// JSON tree until a hit decodes it, so a row that is valid JSON but not a
+/// [`RunReport`] loads, fails its audit when served, and is replaced.
 #[derive(Serialize, Deserialize)]
 struct PersistRow {
     hash: SpecHash,
-    report: RunReport,
+    report: serde_json::Value,
 }
 
 struct Inner {
@@ -138,8 +141,10 @@ impl ResultCache {
     /// # Errors
     ///
     /// Fails when the persistent file exists but cannot be read, or cannot
-    /// be opened for append. Unparseable rows are skipped (a torn final
-    /// append after a crash must not brick the store).
+    /// be opened for append. Rows that are not JSON `{hash, report}`
+    /// objects are skipped (a torn final append after a crash must not
+    /// brick the store); a row whose report does not decode loads as-is
+    /// and is replaced by a fresh run when served.
     pub fn open(config: CacheConfig) -> io::Result<ResultCache> {
         let mut disk = HashMap::new();
         let mut persist = None;
@@ -183,12 +188,12 @@ impl ResultCache {
     }
 
     /// Serves one spec: cache hit (possibly audited) or a fresh run that
-    /// populates the cache.
+    /// populates the cache. This is the cache's single entry point.
     ///
     /// # Errors
     ///
     /// Propagates [`RunError`] from fresh runs and audit re-runs; store
-    /// I/O and decode failures surface as [`RunError::Sink`].
+    /// I/O failures surface as [`RunError::Sink`].
     pub fn serve(&self, driver: &Driver, spec: &RunSpec) -> Result<Served, RunError> {
         let hash = spec.spec_hash();
         let cached = {
@@ -197,11 +202,15 @@ impl ResultCache {
         };
         match cached {
             Some((line, nth_hit)) => {
-                if self.should_audit(hash, nth_hit) {
-                    return self.audit(driver, spec, hash, line);
+                if !self.should_audit(hash, nth_hit) {
+                    if let Ok(report) = serde_json::from_str(&line) {
+                        return Ok(Served { report, hit: true, audited: false });
+                    }
                 }
-                let report = decode(&line)?;
-                Ok(Served { report, hit: true, audited: false })
+                // An audit draw, or a stored line that no longer decodes
+                // (say, a store written before a report schema change):
+                // either way the fresh run decides.
+                self.audit(driver, spec, hash, line)
             }
             None => {
                 let report = driver.run(spec)?;
@@ -210,28 +219,6 @@ impl ResultCache {
                 Ok(Served { report, hit: false, audited: false })
             }
         }
-    }
-
-    /// Cache lookup without fallback execution: the sweep path peeks every
-    /// cell first, runs only the misses (sharded), and re-inserts via
-    /// [`ResultCache::insert`]. Counts hits/misses like
-    /// [`ResultCache::serve`]; never audits.
-    pub fn lookup(&self, spec: &RunSpec) -> Option<RunReport> {
-        let hash = spec.spec_hash();
-        let line = self.inner.lock().expect("cache poisoned").lookup(hash, self.max_bytes)?.0;
-        decode(&line).ok()
-    }
-
-    /// Inserts a report under its own spec's hash (fresh-run results from
-    /// the sweep path; also usable to pre-warm a cache).
-    ///
-    /// # Errors
-    ///
-    /// Surfaces persistent-store append failures.
-    pub fn insert(&self, report: &RunReport) -> Result<(), RunError> {
-        let hash = report.spec.spec_hash();
-        let line = encode(report)?;
-        self.store(hash, line)
     }
 
     /// The deterministic audit draw: hit `nth` of key `hash` is audited
@@ -347,12 +334,6 @@ impl Inner {
 /// Compact-JSON encode with cache-flavoured error mapping.
 fn encode(report: &RunReport) -> Result<String, RunError> {
     serde_json::to_string(report)
-        .map_err(|e| RunError::Sink(io::Error::new(io::ErrorKind::InvalidData, e.to_string())))
-}
-
-/// Decode of a stored line with cache-flavoured error mapping.
-fn decode(line: &str) -> Result<RunReport, RunError> {
-    serde_json::from_str(line)
         .map_err(|e| RunError::Sink(io::Error::new(io::ErrorKind::InvalidData, e.to_string())))
 }
 

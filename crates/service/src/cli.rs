@@ -1,6 +1,8 @@
 //! Shared command implementations behind the `radionetd` binary and the
 //! `radionet serve / submit / status / fetch / call` subcommands — one
 //! place parses flags and speaks the protocol, two binaries expose it.
+//! The flag cursor ([`Args`], [`parse`]) is the one both binaries use for
+//! every subcommand.
 
 use crate::client::ServiceClient;
 use crate::protocol::Request;
@@ -14,31 +16,43 @@ use std::io::{BufRead, Write};
 /// The default loopback endpoint shared by server and client commands.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7177";
 
-/// A tiny `--key value` / `--switch` cursor (mirrors the root CLI's).
-struct Args<'a> {
+/// A tiny cursor over `--key value` / `--switch` argument lists.
+pub struct Args<'a> {
     rest: &'a [String],
     i: usize,
 }
 
 impl<'a> Args<'a> {
-    fn new(rest: &'a [String]) -> Self {
+    /// A cursor at the start of `rest`.
+    pub fn new(rest: &'a [String]) -> Self {
         Args { rest, i: 0 }
     }
 
-    fn next_flag(&mut self) -> Option<&'a str> {
+    /// The next flag (or positional argument), if any.
+    pub fn next_flag(&mut self) -> Option<&'a str> {
         let flag = self.rest.get(self.i)?;
         self.i += 1;
         Some(flag.as_str())
     }
 
-    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+    /// The value following `flag`.
+    ///
+    /// # Errors
+    ///
+    /// `"{flag} needs a value"` when the list ends here.
+    pub fn value(&mut self, flag: &str) -> Result<&'a str, String> {
         let v = self.rest.get(self.i).ok_or_else(|| format!("{flag} needs a value"))?;
         self.i += 1;
         Ok(v.as_str())
     }
 }
 
-fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+/// Parses the value of `flag` with [`std::str::FromStr`].
+///
+/// # Errors
+///
+/// The parse failure, naming the flag and the value.
+pub fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
@@ -100,23 +114,10 @@ pub fn worker_cmd() -> Result<(), String> {
 fn spec_from_flags(args: &mut Args<'_>, flag: &str, spec: &mut RunSpec) -> Result<bool, String> {
     match flag {
         "--task" => spec.task = args.value(flag)?.to_string(),
-        "--family" => {
-            let name = args.value(flag)?;
-            spec.family = Family::ALL
-                .into_iter()
-                .find(|f| f.name() == name)
-                .ok_or_else(|| format!("unknown family {name:?}"))?;
-        }
+        "--family" => spec.family = Family::from_name(args.value(flag)?)?,
         "--n" => spec.n = parse(flag, args.value(flag)?)?,
         "--seed" => spec.seed = parse(flag, args.value(flag)?)?,
-        "--kernel" => {
-            spec.kernel = match args.value(flag)? {
-                "sparse" => Kernel::Sparse,
-                "dense" => Kernel::Dense,
-                "event" => Kernel::Event,
-                other => return Err(format!("unknown kernel {other:?}")),
-            };
-        }
+        "--kernel" => spec.kernel = Kernel::from_name(args.value(flag)?)?,
         _ => return Ok(false),
     }
     Ok(true)

@@ -91,18 +91,14 @@ impl ServiceClient {
         self.call_ok(&Request::result(id))
     }
 
-    /// Serves a sweep through the cache + sharded coordinator; returns
-    /// the in-order reports and the per-cell hit flags.
+    /// Serves a sweep through the cache; returns the in-order reports and
+    /// the per-cell hit flags.
     ///
     /// # Errors
     ///
     /// Transport failures and failing cells.
-    pub fn sweep(
-        &mut self,
-        specs: &[RunSpec],
-        shards: usize,
-    ) -> io::Result<(Vec<RunReport>, Vec<bool>)> {
-        let response = self.call_ok(&Request::sweep(specs.to_vec(), shards))?;
+    pub fn sweep(&mut self, specs: &[RunSpec]) -> io::Result<(Vec<RunReport>, Vec<bool>)> {
+        let response = self.call_ok(&Request::sweep(specs.to_vec()))?;
         match (response.reports, response.cache_hits) {
             (Some(reports), Some(hits)) => Ok((reports, hits)),
             _ => Err(io::Error::other("sweep response without reports")),

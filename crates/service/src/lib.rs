@@ -18,13 +18,13 @@
 //!   (`queued → running → done | failed`, `queued → cancelled`),
 //!   backpressure ([`SubmitError::QueueFull`](queue::SubmitError) beyond
 //!   the high-water mark), cancellation, and per-job timing.
-//! * [`shard`] — a **sharded sweep coordinator**: a spec list is
-//!   partitioned by the deterministic per-cell seed stream, shards execute
-//!   on scoped threads (or spawned `radionetd --worker` subprocesses), and
-//!   the merged output stream is **byte-identical** to the driver's one
-//!   sweep method, [`Driver::run_sweep`](radionet_api::Driver::run_sweep),
-//!   at any chunk size — purity makes the merge a trivial reorder, and the
-//!   shard-merge tests pin it.
+//! * [`shard`] — **subprocess scale-out** for sweeps: cell `i` goes to
+//!   shard `i % shards`, each shard runs in a spawned `radionetd --worker`
+//!   subprocess, and the merged output stream is **byte-identical** to the
+//!   driver's one in-process sweep executor,
+//!   [`Driver::run_sweep`](radionet_api::Driver::run_sweep), at any chunk
+//!   size — purity makes the merge a trivial reorder, and the shard-merge
+//!   tests pin it.
 //! * [`protocol`] / [`server`] / [`client`] — a newline-delimited JSON
 //!   request/response protocol (`submit`, `status`, `result`, `sweep`,
 //!   `stats`, `shutdown`) served over `std::net::TcpListener` by a
@@ -67,4 +67,4 @@ pub use client::ServiceClient;
 pub use protocol::{Request, Response, ServiceStats};
 pub use queue::{JobId, JobQueue, JobSnapshot, JobState, QueueLatency, SubmitError};
 pub use server::{Service, ServiceConfig, ServiceHandle};
-pub use shard::{run_sweep_sharded, shard_of, ShardMode};
+pub use shard::run_sweep_subprocess;

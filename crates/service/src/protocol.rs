@@ -15,10 +15,14 @@
 //! | `submit`   | `spec`, `wait?`       | `id` (+ terminal fields when `wait`) |
 //! | `status`   | `id`                  | `state`, timing                      |
 //! | `result`   | `id`                  | `state`, `report?`, `cache_hit?`     |
-//! | `sweep`    | `specs`, `shards?`    | `reports`, `cache_hits`              |
+//! | `sweep`    | `specs`               | `reports`, `cache_hits`              |
 //! | `stats`    | —                     | `stats`                              |
 //! | `metrics`  | —                     | `metrics` (telemetry snapshot)       |
 //! | `shutdown` | —                     | `ok` (then the service drains)       |
+//!
+//! A `sweep` serves its cells in order through the same audited cache
+//! path as `submit`. Unknown keys are ignored, so a legacy sweep request
+//! carrying `"shards"` still parses and is served.
 
 use crate::cache::CacheStats;
 use crate::queue::QueueLatency;
@@ -39,8 +43,6 @@ pub struct Request {
     pub specs: Option<Vec<RunSpec>>,
     /// `status` / `result`: the job id.
     pub id: Option<u64>,
-    /// `sweep`: worker shards for the cache-miss cells (default 1).
-    pub shards: Option<usize>,
     /// `submit`: block until the job is terminal and return its result in
     /// the same response (default `false`).
     pub wait: Option<bool>,
@@ -49,7 +51,7 @@ pub struct Request {
 impl Request {
     /// A bare command with no arguments.
     fn bare(cmd: &str) -> Request {
-        Request { cmd: cmd.into(), spec: None, specs: None, id: None, shards: None, wait: None }
+        Request { cmd: cmd.into(), spec: None, specs: None, id: None, wait: None }
     }
 
     /// `submit` — enqueue one spec; `wait` blocks for the result.
@@ -67,9 +69,9 @@ impl Request {
         Request { id: Some(id), ..Request::bare("result") }
     }
 
-    /// `sweep` — serve a spec list through cache + sharded coordinator.
-    pub fn sweep(specs: Vec<RunSpec>, shards: usize) -> Request {
-        Request { specs: Some(specs), shards: Some(shards), ..Request::bare("sweep") }
+    /// `sweep` — serve a spec list through the cache, in order.
+    pub fn sweep(specs: Vec<RunSpec>) -> Request {
+        Request { specs: Some(specs), ..Request::bare("sweep") }
     }
 
     /// `stats` — service counters.
@@ -175,7 +177,7 @@ mod tests {
             Request::submit(spec.clone(), true),
             Request::status(3),
             Request::result(3),
-            Request::sweep(vec![spec], 4),
+            Request::sweep(vec![spec]),
             Request::stats(),
             Request::shutdown(),
         ] {

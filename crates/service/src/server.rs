@@ -10,16 +10,16 @@
 //!                                 JobQueue (bounded, backpressured)
 //!                                      │
 //!                                      ▼
-//!                              worker pool (N threads)
-//!                                      │
-//!                                      ▼
-//!                               ResultCache ──miss──▶ Driver::run
+//!                              worker pool (N threads)   sweep
+//!                                      │                      │
+//!                                      ▼                      ▼
+//!                           ResultCache::serve ──miss──▶ Driver::run
 //! ```
 //!
-//! `sweep` requests short-circuit the queue: the connection thread peeks
-//! every cell in the cache, runs only the misses through the sharded
-//! coordinator, re-inserts them, and answers with the merged in-order
-//! stream — so a repeated sweep is almost entirely cache traffic.
+//! `sweep` requests short-circuit the queue: the connection thread serves
+//! every cell in order through [`ResultCache::serve`] — the same audited
+//! path the workers use — so a repeated sweep is almost entirely cache
+//! traffic.
 //!
 //! Shutdown is cooperative: the `shutdown` command (or
 //! [`ServiceHandle::request_shutdown`]) stops intake, wakes blocked
@@ -27,11 +27,10 @@
 //! loopback connection to itself; [`ServiceHandle::join`] then reaps the
 //! threads.
 
-use crate::cache::{CacheConfig, ResultCache};
+use crate::cache::{CacheConfig, ResultCache, Served};
 use crate::protocol::{Request, Response, ServiceStats};
 use crate::queue::{JobQueue, JobSnapshot, SubmitError};
-use crate::shard::{run_sweep_sharded, ShardMode};
-use radionet_api::{Driver, MemorySink, RunSpec};
+use radionet_api::{Driver, RunError, RunSpec};
 use radionet_telemetry::{MetricsSnapshot, Registry, Stopwatch, Telemetry};
 use std::io::{self, BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -102,6 +101,15 @@ impl Shared {
             workers: self.workers,
             queue_latency: self.queue.latency(),
         }
+    }
+
+    /// Serves one spec through the cache (the queue workers' and the
+    /// `sweep` command's one path), timed into the registry.
+    fn serve(&self, spec: &RunSpec) -> Result<Served, RunError> {
+        let watch = Stopwatch::start::<Registry>();
+        let served = self.cache.serve(&self.driver, spec);
+        watch.stop(&self.registry, "service_cache_serve_micros");
+        served
     }
 
     /// The telemetry snapshot the `metrics` command answers with: the
@@ -216,12 +224,10 @@ impl ServiceHandle {
 /// One worker thread: drain the queue through the cache until shutdown.
 fn worker_loop(shared: &Shared) {
     while let Some((id, spec)) = shared.queue.take() {
-        let serve = Stopwatch::start::<Registry>();
-        let outcome = match shared.cache.serve(&shared.driver, &spec) {
+        let outcome = match shared.serve(&spec) {
             Ok(served) => Ok((served.report, served.hit)),
             Err(e) => Err(e.to_string()),
         };
-        serve.stop(&shared.registry, "service_cache_serve_micros");
         shared.queue.complete(id, outcome);
         // The job is terminal now, so its timing is final.
         if let Some(snap) = shared.queue.status(id) {
@@ -347,40 +353,20 @@ fn snapshot_response(snap: JobSnapshot, with_report: bool) -> Response {
     }
 }
 
-/// `sweep`: cache-peek every cell, run only the misses through the
-/// sharded coordinator, merge, re-insert, and answer in request order.
+/// `sweep`: serve every cell through the cache (hit, audited hit, or
+/// fresh run), in request order.
 fn handle_sweep(shared: &Shared, request: Request) -> Response {
     let Some(specs) = request.specs else {
         return Response::err("sweep needs \"specs\"");
     };
-    let shards = request.shards.unwrap_or(1);
-    let lookups = Stopwatch::start::<Registry>();
-    let mut reports: Vec<Option<radionet_api::RunReport>> =
-        specs.iter().map(|s| shared.cache.lookup(s)).collect();
-    lookups.stop(&shared.registry, "service_cache_lookup_micros");
-    let misses: Vec<(usize, RunSpec)> = specs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| reports[*i].is_none())
-        .map(|(i, s)| (i, s.clone()))
-        .collect();
-    let cache_hits: Vec<bool> = reports.iter().map(Option::is_some).collect();
-    if !misses.is_empty() {
-        let miss_specs: Vec<RunSpec> = misses.iter().map(|(_, s)| s.clone()).collect();
-        let mut sink = MemorySink::default();
-        if let Err(e) =
-            run_sweep_sharded(&shared.driver, &miss_specs, shards, &ShardMode::InProcess, &mut sink)
-        {
-            return Response::err(e.to_string());
-        }
-        for ((i, _), report) in misses.iter().zip(sink.reports) {
-            if let Err(e) = shared.cache.insert(&report) {
-                return Response::err(e.to_string());
-            }
-            reports[*i] = Some(report);
-        }
+    let served: Result<Vec<Served>, RunError> =
+        specs.iter().map(|spec| shared.serve(spec)).collect();
+    match served {
+        Ok(served) => Response {
+            cache_hits: Some(served.iter().map(|s| s.hit).collect()),
+            reports: Some(served.into_iter().map(|s| s.report).collect()),
+            ..Response::ok()
+        },
+        Err(e) => Response::err(e.to_string()),
     }
-    let reports: Vec<radionet_api::RunReport> =
-        reports.into_iter().map(|r| r.expect("every cell hit or ran")).collect();
-    Response { reports: Some(reports), cache_hits: Some(cache_hits), ..Response::ok() }
 }

@@ -1,11 +1,16 @@
 //! End-to-end pin of the serving layer: a real `Service` on a loopback
 //! port, a real `ServiceClient` over TCP, and the contracts the CI smoke
 //! relies on — repeated submission is a byte-identical cache hit, sweeps
-//! report per-cell hits, and shutdown drains cleanly.
+//! report per-cell hits through the same audited cache path, and shutdown
+//! drains cleanly.
 
 use radionet_api::{Driver, RunSpec};
 use radionet_graph::families::Family;
-use radionet_service::{CacheConfig, Service, ServiceClient, ServiceConfig, ServiceHandle};
+use radionet_service::{
+    CacheConfig, Response, Service, ServiceClient, ServiceConfig, ServiceHandle,
+};
+use std::io::{BufRead, BufReader, Write};
+use std::path::{Path, PathBuf};
 
 fn tiny(seed: u64) -> RunSpec {
     RunSpec::new("broadcast", Family::Grid, 16).with_seed(seed)
@@ -15,6 +20,26 @@ fn start(config: ServiceConfig) -> (ServiceHandle, ServiceClient) {
     let handle = Service::start(config).expect("bind loopback port 0");
     let client = ServiceClient::connect(&handle.addr().to_string()).expect("connect");
     (handle, client)
+}
+
+/// A persistent store holding one row: `report_json` under `spec`'s hash.
+fn store_with(name: &str, spec: &RunSpec, report_json: &str) -> PathBuf {
+    let path =
+        std::env::temp_dir().join(format!("radionet-e2e-{name}-{}.jsonl", std::process::id()));
+    let row = format!("{{\"hash\":\"{}\",\"report\":{report_json}}}\n", spec.spec_hash().to_hex());
+    std::fs::write(&path, row).unwrap();
+    path
+}
+
+fn with_store(path: &Path, audit_fraction: f64) -> ServiceConfig {
+    ServiceConfig {
+        cache: CacheConfig {
+            audit_fraction,
+            persist: Some(path.to_path_buf()),
+            ..CacheConfig::default()
+        },
+        ..ServiceConfig::default()
+    }
 }
 
 #[test]
@@ -49,7 +74,7 @@ fn repeated_submission_is_a_byte_identical_cache_hit() {
 fn sweep_via_the_client_matches_direct_runs_and_reports_hits() {
     let (handle, mut client) = start(ServiceConfig::default());
     let specs: Vec<RunSpec> = (0..5).map(tiny).collect();
-    let (cold, cold_hits) = client.sweep(&specs, 3).unwrap();
+    let (cold, cold_hits) = client.sweep(&specs).unwrap();
     assert_eq!(cold_hits, vec![false; 5], "a cold sweep misses every cell");
 
     let driver = Driver::standard();
@@ -61,8 +86,8 @@ fn sweep_via_the_client_matches_direct_runs_and_reports_hits() {
             "served sweep cell diverged from a direct run"
         );
     }
-    // The repeat — different shard count, same bytes, all hits.
-    let (warm, warm_hits) = client.sweep(&specs, 2).unwrap();
+    // The repeat — same bytes, all hits.
+    let (warm, warm_hits) = client.sweep(&specs).unwrap();
     assert_eq!(warm_hits, vec![true; 5], "the repeated sweep is pure cache traffic");
     for (a, b) in cold.iter().zip(&warm) {
         assert_eq!(
@@ -73,6 +98,71 @@ fn sweep_via_the_client_matches_direct_runs_and_reports_hits() {
     }
     let stats = client.stats().unwrap();
     assert_eq!((stats.cache.hits, stats.cache.misses), (5, 5));
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn sweep_hits_are_audited_and_a_poisoned_entry_is_replaced() {
+    let spec = tiny(21);
+    let truth = Driver::standard().run(&spec).unwrap();
+    let mut poisoned = truth.clone();
+    poisoned.clock_total += 1;
+    let store = store_with("poisoned", &spec, &serde_json::to_string(&poisoned).unwrap());
+    let (handle, mut client) = start(with_store(&store, 1.0));
+    let (reports, hits) = client.sweep(&[spec, tiny(22)]).unwrap();
+    assert_eq!(hits, vec![false, false], "a failed audit is not a hit");
+    assert_eq!(
+        serde_json::to_string(&reports[0]).unwrap(),
+        serde_json::to_string(&truth).unwrap(),
+        "the fresh run is served, not the poison"
+    );
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.cache.audits, stats.cache.audit_failures), (1, 1));
+    client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_file(&store).unwrap();
+}
+
+#[test]
+fn sweep_over_an_undecodable_entry_counts_a_failed_audit_and_replaces_it() {
+    let spec = tiny(23);
+    let truth = Driver::standard().run(&spec).unwrap();
+    let store = store_with("undecodable", &spec, r#"{"torn":true}"#);
+    // audit_fraction 0.0: only the undecodable line can trigger the re-run.
+    let (handle, mut client) = start(with_store(&store, 0.0));
+    let (reports, hits) = client.sweep(std::slice::from_ref(&spec)).unwrap();
+    assert_eq!(hits, vec![false], "an undecodable line is not a hit");
+    assert_eq!(
+        serde_json::to_string(&reports[0]).unwrap(),
+        serde_json::to_string(&truth).unwrap(),
+        "the fresh run is served"
+    );
+    assert_eq!(client.stats().unwrap().cache.audit_failures, 1);
+    // The bad line was replaced: the repeat is a plain hit.
+    let (_, hits) = client.sweep(&[spec]).unwrap();
+    assert_eq!(hits, vec![true]);
+    assert_eq!(client.stats().unwrap().cache.audit_failures, 1);
+    client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_file(&store).unwrap();
+}
+
+#[test]
+fn legacy_sweep_request_with_shards_is_served() {
+    let (handle, mut client) = start(ServiceConfig::default());
+    let spec = tiny(5);
+    let line = format!(
+        r#"{{"cmd":"sweep","specs":[{}],"shards":2}}"#,
+        serde_json::to_string(&spec).unwrap()
+    );
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    writeln!(stream, "{line}").unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    let response: Response = serde_json::from_str(&reply).unwrap();
+    assert!(response.ok, "{:?}", response.error);
+    assert_eq!(response.reports.map(|r| r.len()), Some(1));
     client.shutdown().unwrap();
     handle.join();
 }

@@ -172,6 +172,9 @@ pub enum Kernel {
 }
 
 impl Kernel {
+    /// Every kernel, in display order.
+    pub const ALL: [Kernel; 3] = [Kernel::Sparse, Kernel::Dense, Kernel::Event];
+
     /// Short stable name for tables and CLI flags.
     pub fn name(self) -> &'static str {
         match self {
@@ -179,6 +182,18 @@ impl Kernel {
             Kernel::Dense => "dense",
             Kernel::Event => "event",
         }
+    }
+
+    /// The inverse of [`Kernel::name`].
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, with a message listing the valid ones.
+    pub fn from_name(name: &str) -> Result<Kernel, String> {
+        Kernel::ALL.into_iter().find(|k| k.name() == name).ok_or_else(|| {
+            let all: Vec<&str> = Kernel::ALL.iter().map(|k| k.name()).collect();
+            format!("unknown kernel {name:?}; one of: {}", all.join(", "))
+        })
     }
 }
 
@@ -1733,6 +1748,16 @@ mod tests {
         g.nodes()
             .map(|v| Chatter { active: active.contains(&v.index()), heard: Vec::new() })
             .collect()
+    }
+
+    #[test]
+    fn kernel_from_name_inverts_name() {
+        for kernel in Kernel::ALL {
+            assert_eq!(Kernel::from_name(kernel.name()), Ok(kernel));
+        }
+        assert_eq!(Kernel::from_name("event"), Ok(Kernel::Event));
+        let err = Kernel::from_name("fast").unwrap_err();
+        assert!(err.contains("fast") && err.contains("sparse, dense, event"), "{err}");
     }
 
     /// A static view whose listed nodes are permanently jammed listeners.

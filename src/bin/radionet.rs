@@ -24,7 +24,8 @@ use radionet::graph::families::Family;
 use radionet::journal::{bisect, ClassMask, EventKind, Journal};
 use radionet::scenario::Scenario;
 use radionet::scenario::SweepConfig;
-use radionet::service::{cli as service_cli, run_sweep_sharded, ShardMode};
+use radionet::service::cli::{self as service_cli, parse, Args};
+use radionet::service::run_sweep_subprocess;
 use radionet::sim::{Kernel, ReceptionMode, SinrConfig};
 use radionet::telemetry::{ProgressEvent, ProgressMeter, ProgressSink};
 use serde::Serialize;
@@ -106,13 +107,12 @@ SWEEP OPTIONS:
   --scenario NAME     restrict to a named scenario (repeatable)
   --kernel K          sparse | dense | event       [default: sparse]
   --format F          jsonl | json                 [default: jsonl]
-  --sequential        one cell at a time (default: rayon chunks; the
-                      output stream is byte-identical either way)
-  --chunk N           parallel chunk size          [default: 64]
-  --shards N          route the sweep through the sharded coordinator with N
-                      deterministic shards (output stays byte-identical)
-  --shard-exec PATH   shard via spawned `PATH --worker` subprocesses instead
-                      of in-process threads (implies the sharded path)
+  --chunk N           parallel chunk size; 1 runs one cell at a time (the
+                      stream is byte-identical either way)  [default: 64]
+  --shard-exec PATH   run the sweep in spawned `PATH --worker` subprocesses
+                      (normally radionetd) and merge their streams in cell
+                      order (output stays byte-identical)
+  --shards N          subprocess workers for --shard-exec [default: 1]
   --progress          live progress line on stderr (done/total, rate, ETA;
                       rate-limited to ~5 updates/sec)
   --progress-jsonl F  append one ProgressEvent JSON line per update to F
@@ -159,53 +159,6 @@ fn main() -> ExitCode {
             eprintln!("radionet {cmd}: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// A tiny flag cursor over `--key value` / `--switch` argument lists.
-struct Args<'a> {
-    rest: &'a [String],
-    i: usize,
-}
-
-impl<'a> Args<'a> {
-    fn new(rest: &'a [String]) -> Self {
-        Args { rest, i: 0 }
-    }
-
-    fn next_flag(&mut self) -> Option<&'a str> {
-        let flag = self.rest.get(self.i)?;
-        self.i += 1;
-        Some(flag.as_str())
-    }
-
-    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
-        let v = self.rest.get(self.i).ok_or_else(|| format!("{flag} needs a value"))?;
-        self.i += 1;
-        Ok(v.as_str())
-    }
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
-}
-
-fn parse_family(name: &str) -> Result<Family, String> {
-    Family::ALL.into_iter().find(|f| f.name() == name).ok_or_else(|| {
-        let all: Vec<&str> = Family::ALL.iter().map(|f| f.name()).collect();
-        format!("unknown family {name:?}; one of: {}", all.join(", "))
-    })
-}
-
-fn parse_kernel(name: &str) -> Result<Kernel, String> {
-    match name {
-        "sparse" => Ok(Kernel::Sparse),
-        "dense" => Ok(Kernel::Dense),
-        "event" => Ok(Kernel::Event),
-        other => Err(format!("unknown kernel {other:?}; sparse, dense or event")),
     }
 }
 
@@ -260,7 +213,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
                 flag_count += 1;
             }
             "--family" => {
-                spec.family = parse_family(args.value(flag)?)?;
+                spec.family = Family::from_name(args.value(flag)?)?;
                 flag_count += 1;
             }
             "--n" => {
@@ -276,7 +229,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
                 flag_count += 1;
             }
             "--kernel" => {
-                spec.kernel = parse_kernel(args.value(flag)?)?;
+                spec.kernel = Kernel::from_name(args.value(flag)?)?;
                 flag_count += 1;
             }
             "--dynamics" => {
@@ -357,9 +310,8 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
     let mut names: Vec<String> = Vec::new();
     let mut kernel = Kernel::default();
     let mut format = "jsonl".to_string();
-    let mut sequential = false;
     let mut chunk = 64usize;
-    let mut shards = 1usize;
+    let mut shards: Option<usize> = None;
     let mut shard_exec: Option<String> = None;
     let mut progress = false;
     let mut progress_jsonl: Option<String> = None;
@@ -370,17 +322,19 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
             "--seeds" => seeds = parse(flag, args.value(flag)?)?,
             "--base-seed" => base_seed = parse(flag, args.value(flag)?)?,
             "--scenario" => names.push(args.value(flag)?.to_string()),
-            "--kernel" => kernel = parse_kernel(args.value(flag)?)?,
+            "--kernel" => kernel = Kernel::from_name(args.value(flag)?)?,
             "--format" => format = args.value(flag)?.to_string(),
-            "--sequential" => sequential = true,
             "--chunk" => chunk = parse(flag, args.value(flag)?)?,
-            "--shards" => shards = parse(flag, args.value(flag)?)?,
+            "--shards" => shards = Some(parse(flag, args.value(flag)?)?),
             "--shard-exec" => shard_exec = Some(args.value(flag)?.to_string()),
             "--progress" => progress = true,
             "--progress-jsonl" => progress_jsonl = Some(args.value(flag)?.to_string()),
             "--out" => out = Some(args.value(flag)?.to_string()),
             other => return Err(format!("unknown flag {other:?} (see `radionet help`)")),
         }
+    }
+    if shards.is_some() && shard_exec.is_none() {
+        return Err("--shards needs --shard-exec PATH; in-process parallelism is --chunk N".into());
     }
 
     // Where `--progress` / `--progress-jsonl` events land: a `\r`-rewritten
@@ -466,7 +420,6 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
         "json" => Box::new(JsonArraySink::new(w)),
         other => return Err(format!("unknown format {other:?}; jsonl or json")),
     };
-    let driver = Driver::standard();
     let meter = (progress || progress_jsonl.is_some()).then(|| {
         let total = (config.scenarios.len() * config.sizes.len()) as u64 * config.seeds;
         let jsonl = progress_jsonl.as_deref().map(|p| {
@@ -493,22 +446,19 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
         traffic_thpt: 0.0,
         progress: meter,
     };
-    let emitted = if shards > 1 || shard_exec.is_some() {
-        // The sharded coordinator partitions by cell position, so it needs
-        // the whole spec list up front (O(cells) memory — the trade for
-        // multi-worker execution); the merged stream stays byte-identical.
-        let specs: Vec<RunSpec> = config.specs().collect();
-        let mode = match shard_exec {
-            Some(exe) => ShardMode::Subprocess { exe: exe.into() },
-            None => ShardMode::InProcess,
-        };
-        run_sweep_sharded(&driver, &specs, shards, &mode, &mut tally).map_err(|e| e.to_string())?
-    } else {
+    let emitted = match shard_exec {
+        // Subprocess workers need the whole spec list up front to assign
+        // cells (O(cells) memory — the trade for multi-process execution);
+        // the merged stream stays byte-identical.
+        Some(exe) => {
+            let specs: Vec<RunSpec> = config.specs().collect();
+            run_sweep_subprocess(exe.as_ref(), &specs, shards.unwrap_or(1), &mut tally)
+        }
         // Specs are generated lazily and exist only chunk-at-a-time, so
         // the sweep's memory footprint is O(chunk) regardless of size.
-        let chunk = if sequential { 1 } else { chunk };
-        driver.run_sweep(config.specs(), chunk, &mut tally).map_err(|e| e.to_string())?
-    };
+        None => Driver::standard().run_sweep(config.specs(), chunk, &mut tally),
+    }
+    .map_err(|e| e.to_string())?;
     if tally.fallbacks > 0 {
         eprintln!(
             "warning: {} phase(s) across {} cell(s) fell back to a slower kernel \
