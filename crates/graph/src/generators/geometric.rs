@@ -16,6 +16,7 @@
 //! (α, D) back to geometry.
 
 use crate::geometry::{Euclidean2, Euclidean3, Metric, Point2, Point3};
+use crate::spatial::SpatialGrid;
 use crate::{Graph, GraphBuilder};
 use rand::Rng;
 
@@ -45,9 +46,12 @@ pub fn uniform_points3<R: Rng + ?Sized>(n: usize, side: f64, rng: &mut R) -> Vec
 /// Unit ball graph over an arbitrary metric: edge `{u, v}` iff
 /// `dist(u, v) ≤ radius`.
 ///
-/// With a doubling metric the result is growth-bounded (Section 1.3). This
-/// is the work-horse behind all the specialized constructors. `O(n²)`
-/// distance evaluations.
+/// With a doubling metric the result is growth-bounded (Section 1.3).
+/// `O(n²)` distance evaluations: this all-pairs loop is kept for metrics
+/// without a grid embedding (Chebyshev, Manhattan, torus, user metrics) and
+/// as the reference the grid-built Euclidean constructors are tested
+/// against; [`unit_disk`] and [`unit_ball3_in_cube`] build the same graph in
+/// near-linear time.
 ///
 /// # Panics
 ///
@@ -69,9 +73,91 @@ where
     GeometricInstance { graph: b.build(), points: points.to_vec() }
 }
 
+/// Calls `pair(i, j, d)` for every pair `i < j` whose Euclidean distance
+/// `d = metric.dist(&points[i], &points[j])` is at most `radius`, in
+/// lexicographic `(i, j)` order, finding candidates through a
+/// [`SpatialGrid`] over the points' bounding box instead of all pairs.
+///
+/// `coords` embeds a point as `[x, y, z]` (`z = 0` in 2D) and `metric` must
+/// be the Euclidean distance on those coordinates. The grid's cells are a
+/// hair wider than `radius`, so float rounding in the cell index cannot
+/// separate a pair at distance exactly `radius` by more than one cell; the
+/// caller's edge rule sees the same `d` the all-pairs loop computed. Cells
+/// per axis are capped near `(2n)^(1/dim)`, so sparse or far-flung point
+/// sets cannot blow up the grid (wider cells only add candidates).
+/// Non-finite coordinates never pass the distance test and are ignored
+/// when sizing the grid.
+fn pairs_within<P, M: Metric<P>>(
+    points: &[P],
+    coords: impl Fn(&P) -> [f64; 3],
+    dim: usize,
+    metric: &M,
+    radius: f64,
+    mut pair: impl FnMut(usize, usize, f64),
+) {
+    let n = points.len();
+    if n < 2 {
+        return;
+    }
+    let pos: Vec<[f64; 3]> = points.iter().map(coords).collect();
+    let mut lo = [f64::INFINITY; 3];
+    let mut hi = [f64::NEG_INFINITY; 3];
+    for p in &pos {
+        for axis in 0..dim {
+            if p[axis].is_finite() {
+                lo[axis] = lo[axis].min(p[axis]);
+                hi[axis] = hi[axis].max(p[axis]);
+            }
+        }
+    }
+    let mut span = 0.0f64;
+    for axis in 0..3 {
+        if lo[axis] > hi[axis] {
+            (lo[axis], hi[axis]) = (0.0, 0.0);
+        }
+        span = span.max(hi[axis] - lo[axis]);
+    }
+    let side = if span > 0.0 { span.min(f64::MAX) } else { 1.0 };
+    let max_cells_per_axis = ((2 * n) as f64).powf(1.0 / dim as f64).ceil();
+    let width = (radius * (1.0 + 1e-6)).max(side / max_cells_per_axis).min(side);
+    let grid = SpatialGrid::with_origin(lo, side, width, dim, &pos);
+    let mut near: Vec<u32> = Vec::new();
+    for i in 0..n {
+        near.clear();
+        grid.for_candidates(pos[i], |j| {
+            if j as usize > i {
+                near.push(j);
+            }
+        });
+        near.sort_unstable();
+        for &j in &near {
+            let j = j as usize;
+            let d = metric.dist(&points[i], &points[j]);
+            if d <= radius {
+                pair(i, j, d);
+            }
+        }
+    }
+}
+
+fn coords2(p: &Point2) -> [f64; 3] {
+    [p.x, p.y, 0.0]
+}
+
+fn coords3(p: &Point3) -> [f64; 3] {
+    [p.x, p.y, p.z]
+}
+
 /// Unit disk graph on the given 2D points: edge iff Euclidean distance ≤ 1.
+///
+/// Built through a uniform grid in `O(n + m)` expected time on spread-out
+/// points; identical to `unit_ball(points, &Euclidean2, 1.0)`.
 pub fn unit_disk(points: &[Point2]) -> GeometricInstance<Point2> {
-    unit_ball(points, &Euclidean2, 1.0)
+    let mut b = GraphBuilder::new(points.len());
+    pairs_within(points, coords2, 2, &Euclidean2, 1.0, |i, j, _| {
+        b.add_edge(i, j);
+    });
+    GeometricInstance { graph: b.build(), points: points.to_vec() }
 }
 
 /// Unit disk graph on `n` uniform points in `[0, side)²` with unit radius.
@@ -87,20 +173,30 @@ pub fn unit_disk_in_square<R: Rng + ?Sized>(
     unit_disk(&pts)
 }
 
-/// Unit *ball* graph on `n` uniform points in `[0, side)³` (3D Euclidean).
+/// Unit *ball* graph on `n` uniform points in `[0, side)³` (3D Euclidean),
+/// built through a uniform grid; identical to
+/// `unit_ball(&points, &Euclidean3, 1.0)`.
 pub fn unit_ball3_in_cube<R: Rng + ?Sized>(
     n: usize,
     side: f64,
     rng: &mut R,
 ) -> GeometricInstance<Point3> {
     let pts = uniform_points3(n, side, rng);
-    unit_ball(&pts, &Euclidean3, 1.0)
+    let mut b = GraphBuilder::new(n);
+    pairs_within(&pts, coords3, 3, &Euclidean3, 1.0, |i, j, _| {
+        b.add_edge(i, j);
+    });
+    GeometricInstance { graph: b.build(), points: pts }
 }
 
 /// Quasi unit disk graph (paper, Section 1.3): edges are certain below
 /// distance `r`, impossible above `R ≥ r`, and present with probability
 /// `gray_p` in between. The ratio `R/r` is the class parameter and must be
 /// treated as constant for growth-boundedness.
+///
+/// One gray-zone coin is drawn per pair at distance in `(r, R]`, in
+/// lexicographic `(i, j)` order, so the graph is a pure function of the
+/// points and the RNG state.
 ///
 /// # Panics
 ///
@@ -114,16 +210,12 @@ pub fn quasi_unit_disk<R2: Rng + ?Sized>(
 ) -> GeometricInstance<Point2> {
     assert!(r > 0.0 && big_r >= r, "need 0 < r <= R");
     assert!((0.0..=1.0).contains(&gray_p), "gray_p must be a probability");
-    let n = points.len();
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = Euclidean2.dist(&points[i], &points[j]);
-            if d <= r || (d <= big_r && rng.gen::<f64>() < gray_p) {
-                b.add_edge(i, j);
-            }
+    let mut b = GraphBuilder::new(points.len());
+    pairs_within(points, coords2, 2, &Euclidean2, big_r, |i, j, d| {
+        if d <= r || rng.gen::<f64>() < gray_p {
+            b.add_edge(i, j);
         }
-    }
+    });
     GeometricInstance { graph: b.build(), points: points.to_vec() }
 }
 
@@ -149,6 +241,7 @@ pub fn quasi_unit_disk_in_square<R2: Rng + ?Sized>(
 /// `{u, v}` iff `dist(u, v) ≤ min(r_u, r_v)` (i.e. both directed edges
 /// exist). Growth-boundedness requires `max r / min r` bounded; callers
 /// should draw `ranges` from an interval `[r_lo, r_hi]` with constant ratio.
+/// Candidates come from a uniform grid sized by the largest range.
 ///
 /// # Panics
 ///
@@ -156,16 +249,13 @@ pub fn quasi_unit_disk_in_square<R2: Rng + ?Sized>(
 pub fn geometric_radio_undirected(points: &[Point2], ranges: &[f64]) -> GeometricInstance<Point2> {
     assert_eq!(points.len(), ranges.len(), "one range per point");
     assert!(ranges.iter().all(|&r| r >= 0.0), "ranges must be nonnegative");
-    let n = points.len();
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = Euclidean2.dist(&points[i], &points[j]);
-            if d <= ranges[i].min(ranges[j]) {
-                b.add_edge(i, j);
-            }
+    let reach = ranges.iter().copied().fold(0.0, f64::max);
+    let mut b = GraphBuilder::new(points.len());
+    pairs_within(points, coords2, 2, &Euclidean2, reach, |i, j, d| {
+        if d <= ranges[i].min(ranges[j]) {
+            b.add_edge(i, j);
         }
-    }
+    });
     GeometricInstance { graph: b.build(), points: points.to_vec() }
 }
 
@@ -300,6 +390,25 @@ mod tests {
                 "r={r}: alpha {} exceeds packing bound {bound}",
                 alpha.upper
             );
+        }
+    }
+
+    #[test]
+    fn grid_pairs_match_all_pairs_on_3d_lattice() {
+        // Integer lattice shifted off the origin: every axis neighbour sits
+        // at distance exactly 1, straddling a cell boundary.
+        let pts: Vec<Point3> = (0..125)
+            .map(|k| Point3::new(0.3 + (k % 5) as f64, ((k / 5) % 5) as f64, (k / 25) as f64))
+            .collect();
+        for radius in [1.0, 1.5, 0.0] {
+            let mut grid = Vec::new();
+            pairs_within(&pts, coords3, 3, &Euclidean3, radius, |i, j, _| grid.push((i, j)));
+            let oracle: Vec<(usize, usize)> = unit_ball(&pts, &Euclidean3, radius)
+                .graph
+                .edges()
+                .map(|(u, v)| (u.index(), v.index()))
+                .collect();
+            assert_eq!(grid, oracle, "radius {radius}");
         }
     }
 

@@ -121,12 +121,12 @@ pub fn clique_cover_upper_bound(g: &Graph) -> usize {
     cliques
 }
 
-/// Upper bound on `α` via matchings: any matching `M` forces one endpoint of
-/// each matched edge out of any independent set, so `α ≤ n − |M|`.
+/// Upper bound on `α` via matchings: an independent set contains at most
+/// one endpoint of each edge of a matching `M`, so `α ≤ n − |M|` holds for
+/// *any* matching `M`.
 ///
-/// Uses a greedy maximal matching (≥ half of maximum), which still yields a
-/// valid bound because `α ≤ n − μ(G) ≤ n − |M_greedy|` fails for greedy —
-/// instead we use the safe direction `α ≤ n − |M|` for *any* matching `M`.
+/// Uses a greedy maximal matching (at least half the size of a maximum
+/// one), so the bound is valid but can be loose.
 pub fn matching_upper_bound(g: &Graph) -> usize {
     let mut matched = vec![false; g.n()];
     let mut size = 0usize;
@@ -171,57 +171,68 @@ impl ExactAlpha {
 /// when exhausted the best set found so far is returned as
 /// [`ExactAlpha::BudgetExhausted`].
 ///
-/// Intended for the harness (`n` up to a few hundred sparse / ~100 dense).
+/// The remaining subgraph is an `n`-bit alive set; degrees, deletions and
+/// the bound's clique growth walk the CSR adjacency lists, so a search node
+/// costs `O(n/64 + Σ alive degrees)` and memory stays linear. Finishing is
+/// exponential in the worst case: expect exact answers for a few hundred
+/// sparse or ~100 dense nodes, and a budgeted best-so-far beyond.
 pub fn maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
-    // Work on an explicit "alive" subset with adjacency via bitsets for speed.
     let n = g.n();
     if n == 0 {
         return ExactAlpha::Exact(Vec::new());
     }
-    let words = n.div_ceil(64);
-    // Bitset adjacency.
-    let mut adj = vec![0u64; n * words];
-    for v in g.nodes() {
-        for &u in g.neighbors(v) {
-            adj[v.index() * words + u.index() / 64] |= 1u64 << (u.index() % 64);
-        }
-    }
 
     struct Search<'a> {
-        words: usize,
-        adj: &'a [u64],
+        g: &'a Graph,
         best: Vec<u32>,
         budget: u64,
         exhausted: bool,
     }
 
     impl Search<'_> {
+        fn neighbors(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+            self.g.neighbors(NodeId::new(v)).iter().map(|u| u.index())
+        }
+
         fn popcount(set: &[u64]) -> usize {
             set.iter().map(|w| w.count_ones() as usize).sum()
         }
 
-        /// Greedy clique-cover bound restricted to `alive`.
+        /// Greedy clique-cover bound restricted to `alive`: repeatedly seed a
+        /// clique at the lowest remaining vertex and grow it by the lowest
+        /// remaining common neighbour.
         fn bound(&self, alive: &[u64]) -> usize {
             let mut remaining = alive.to_vec();
             let mut cliques = 0usize;
-            while let Some(v) = first_set_bit(&remaining) {
-                // Members of this clique: grow greedily within `remaining`.
+            let mut cand: Vec<usize> = Vec::new();
+            // Vertices only ever leave `remaining`, so the lowest one never
+            // moves backwards: a forward word cursor finds each seed.
+            let mut word = 0;
+            loop {
+                while word < remaining.len() && remaining[word] == 0 {
+                    word += 1;
+                }
+                if word == remaining.len() {
+                    return cliques;
+                }
+                let v = word * 64 + remaining[word].trailing_zeros() as usize;
                 clear_bit(&mut remaining, v);
-                let mut members = vec![v];
-                let mut cand: Vec<u64> =
-                    (0..self.words).map(|w| remaining[w] & self.adj[v * self.words + w]).collect();
-                while let Some(u) = first_set_bit(&cand) {
-                    // u is adjacent to all members by construction of cand.
+                // Sorted candidates: remaining neighbours of the seed.
+                cand.clear();
+                cand.extend(self.neighbors(v).filter(|&u| has_bit(&remaining, u)));
+                while let Some(&u) = cand.first() {
+                    // u is adjacent to all members by construction of cand;
+                    // keep the candidates adjacent to u (a sorted merge,
+                    // which also drops u itself).
                     clear_bit(&mut remaining, u);
-                    for (w, c) in cand.iter_mut().enumerate() {
-                        *c &= self.adj[u * self.words + w];
-                    }
-                    clear_bit(&mut cand, u);
-                    members.push(u);
+                    let mut adj = self.neighbors(u).peekable();
+                    cand.retain(|&c| {
+                        while adj.next_if(|&a| a < c).is_some() {}
+                        adj.peek() == Some(&c)
+                    });
                 }
                 cliques += 1;
             }
-            cliques
         }
 
         fn run(&mut self, alive: &mut Vec<u64>, current: &mut Vec<u32>) {
@@ -243,22 +254,19 @@ pub fn maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
             if current.len() + self.bound(alive) <= self.best.len() {
                 return;
             }
-            // Pick an alive vertex of maximum alive-degree.
+            // Pick an alive vertex of maximum alive-degree (lowest index on
+            // ties).
             let mut pick = usize::MAX;
-            let mut pick_deg = usize::MAX;
             let mut max_deg = 0usize;
             for v in iter_bits(alive) {
-                let deg = (0..self.words)
-                    .map(|w| (self.adj[v * self.words + w] & alive[w]).count_ones() as usize)
-                    .sum();
+                let deg = self.neighbors(v).filter(|&u| has_bit(alive, u)).count();
                 if pick == usize::MAX || deg > max_deg {
                     max_deg = deg;
                     pick = v;
-                    pick_deg = deg;
                 }
             }
             let v = pick;
-            if pick_deg == 0 {
+            if max_deg == 0 {
                 // All alive vertices are isolated: take them all.
                 let mut take = current.clone();
                 take.extend(iter_bits(alive).map(|i| i as u32));
@@ -270,13 +278,13 @@ pub fn maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
             // Branch 1: include v (delete N[v]).
             let saved = alive.clone();
             clear_bit(alive, v);
-            for (w, a) in alive.iter_mut().enumerate() {
-                *a &= !self.adj[v * self.words + w];
+            for u in self.neighbors(v) {
+                clear_bit(alive, u);
             }
             current.push(v as u32);
             self.run(alive, current);
             current.pop();
-            *alive = saved.clone();
+            alive.copy_from_slice(&saved);
             // Branch 2: exclude v.
             clear_bit(alive, v);
             self.run(alive, current);
@@ -284,13 +292,8 @@ pub fn maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
         }
     }
 
-    fn first_set_bit(set: &[u64]) -> Option<usize> {
-        for (w, &bits) in set.iter().enumerate() {
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-        }
-        None
+    fn has_bit(set: &[u64], i: usize) -> bool {
+        set[i / 64] >> (i % 64) & 1 == 1
     }
 
     fn clear_bit(set: &mut [u64], i: usize) {
@@ -312,15 +315,14 @@ pub fn maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
         })
     }
 
-    let mut alive = vec![0u64; words];
+    let mut alive = vec![0u64; n.div_ceil(64)];
     for v in 0..n {
         alive[v / 64] |= 1u64 << (v % 64);
     }
     // Seed the incumbent with a decent greedy solution so pruning bites early.
     let seed = greedy_mis_min_degree(g);
     let mut search = Search {
-        words,
-        adj: &adj,
+        g,
         best: seed.iter().map(|v| v.index() as u32).collect(),
         budget,
         exhausted: false,
@@ -362,10 +364,8 @@ impl AlphaBounds {
 /// (lower) with the minimum of the clique-cover and matching upper bounds.
 pub fn alpha_bounds(g: &Graph, budget: u64) -> AlphaBounds {
     if g.n() > EXACT_SEARCH_MAX_N {
-        // The branch-and-bound solver materializes Θ(n²/64) bitset
-        // adjacency — 125 GB at a million nodes — so huge graphs go
-        // straight to the near-linear greedy/cover bracket. Still within
-        // the paper's "any polynomial approximation" tolerance.
+        // Huge graphs go straight to the near-linear greedy/cover bracket,
+        // still within the paper's "any polynomial approximation" tolerance.
         let lower = greedy_mis_min_degree(g).len();
         let upper = clique_cover_upper_bound(g).min(matching_upper_bound(g));
         return AlphaBounds { lower, upper: upper.max(lower), exact: upper <= lower };
@@ -380,8 +380,11 @@ pub fn alpha_bounds(g: &Graph, budget: u64) -> AlphaBounds {
 }
 
 /// Above this node count [`alpha_bounds`] skips the exact solver entirely
-/// (its bitset adjacency is quadratic in memory) and reports the
-/// greedy-vs-cover bracket computed in near-linear time.
+/// and reports the greedy-vs-cover bracket computed in near-linear time.
+///
+/// The solver once stored a quadratic bitset adjacency, which is where this
+/// cut-off came from; it now runs in linear memory, but the cut-off stays
+/// where it is because moving it changes the α that reports carry.
 pub const EXACT_SEARCH_MAX_N: usize = 16_384;
 
 #[cfg(test)]

@@ -7,12 +7,14 @@
 //! displacements far below the radius, crossings are rare, which is what
 //! makes incremental edge maintenance cheap.
 //!
-//! The index serves two consumers: `radionet-mobility` maintains derived
-//! adjacency over moving nodes with it, and `radionet-sim` culls candidate
-//! transmitters per listener in the sparse SINR reception kernel (where
-//! [`SpatialGrid::for_candidates_within`] additionally bounds the far-field
-//! interference search to an arbitrary radius). It lives in this crate —
-//! below both — so neither has to depend on the other.
+//! The index serves three consumers: this crate's Euclidean geometric
+//! generators enumerate their close pairs with it, `radionet-mobility`
+//! maintains derived adjacency over moving nodes with it, and
+//! `radionet-sim` culls candidate transmitters per listener in the sparse
+//! SINR reception kernel (where [`SpatialGrid::for_candidates_within`]
+//! additionally bounds the far-field interference search to an arbitrary
+//! radius). It lives in this crate — below the other two — so neither has
+//! to depend on the other.
 
 /// Euclidean distance between two `[x, y, z]` points (2D points carry
 /// `z = 0`, so one routine serves both dimensions). The shared distance

@@ -119,12 +119,16 @@ pub fn eccentricity(g: &Graph, v: NodeId) -> u32 {
     bfs_distances(g, v).into_iter().filter(|&d| d != UNREACHABLE).max().unwrap_or(0)
 }
 
-/// Exact diameter by all-pairs BFS. `O(n (n + m))`.
+/// Exact diameter by all-pairs BFS. `O(n (n + m))` worst case.
 ///
 /// Disconnected graphs report the largest eccentricity within any component.
-/// Use for `n` up to a few thousand; prefer [`diameter_ifub`] beyond that.
+/// Runs 64 BFS at once per pass of the bit-parallel eccentricity kernel, so
+/// tens of thousands of sparse nodes take well under a second; for large
+/// connected graphs [`diameter_ifub`] usually needs far fewer sources.
 pub fn diameter_exact(g: &Graph) -> u32 {
-    g.nodes().map(|v| eccentricity(g, v)).max().unwrap_or(0)
+    let nodes: Vec<NodeId> = g.nodes().collect();
+    let mut ecc = Eccentricities::new(g);
+    nodes.chunks(64).map(|batch| ecc.max_of(batch)).max().unwrap_or(0)
 }
 
 /// Exact diameter via the iFUB algorithm (Crescenzi et al.), which is
@@ -136,6 +140,11 @@ pub fn diameter_exact(g: &Graph) -> u32 {
 /// component); check [`is_connected`] first.
 pub fn diameter_ifub(g: &Graph) -> u32 {
     assert!(is_connected(g), "diameter_ifub requires a connected graph");
+    ifub(g)
+}
+
+/// iFUB on a graph already known to be connected.
+fn ifub(g: &Graph) -> u32 {
     if g.n() <= 1 {
         return 0;
     }
@@ -162,17 +171,17 @@ pub fn diameter_ifub(g: &Graph) -> u32 {
     for v in g.nodes() {
         by_level[dmid[v.index()] as usize].push(v);
     }
+    let mut ecc = Eccentricities::new(g);
     let mut lower = lower0;
     let mut upper = 2 * height;
     let mut level = height as i64;
     while lower < upper && level >= 0 {
-        // All nodes strictly below `level` can contribute at most 2*level - 2
-        // ... standard iFUB: if lower >= 2*(level-1) we are done.
-        for &v in &by_level[level as usize] {
-            let ecc = eccentricity(g, v);
-            if ecc > lower {
-                lower = ecc;
-            }
+        // Every eccentricity on this fringe level, 64 sources per pass. Two
+        // nodes both below this level are at most 2·(level − 1) apart and
+        // every farther pair has a processed endpoint, so once `lower`
+        // reaches that bound it is the diameter.
+        for batch in by_level[level as usize].chunks(64) {
+            lower = lower.max(ecc.max_of(batch));
         }
         level -= 1;
         upper = 2 * (level.max(0) as u32);
@@ -183,13 +192,81 @@ pub fn diameter_ifub(g: &Graph) -> u32 {
     lower
 }
 
+/// Bit-parallel eccentricity kernel: one BFS pass serves up to 64 sources,
+/// bit `k` of a node's word meaning "reached from source `k`". Each level
+/// expands only the *active* nodes (non-zero frontier word), so a pass
+/// costs the edges the 64 frontiers actually cross, not 64 full BFS.
+struct Eccentricities<'g> {
+    g: &'g Graph,
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+    active: Vec<u32>,
+    next_active: Vec<u32>,
+}
+
+impl<'g> Eccentricities<'g> {
+    fn new(g: &'g Graph) -> Self {
+        let n = g.n();
+        Eccentricities {
+            g,
+            seen: vec![0; n],
+            frontier: vec![0; n],
+            next: vec![0; n],
+            active: Vec::new(),
+            next_active: Vec::new(),
+        }
+    }
+
+    /// The largest eccentricity among `sources` (distinct, at most 64),
+    /// each measured within its own component; 0 for no sources.
+    fn max_of(&mut self, sources: &[NodeId]) -> u32 {
+        assert!(sources.len() <= 64, "the kernel runs at most 64 sources per pass");
+        let g = self.g;
+        let (offsets, targets) = g.csr();
+        self.seen.fill(0);
+        self.active.clear();
+        for (k, s) in sources.iter().enumerate() {
+            let bit = 1u64 << k;
+            self.seen[s.index()] |= bit;
+            self.frontier[s.index()] |= bit;
+            self.active.push(s.index() as u32);
+        }
+        let mut level = 0;
+        loop {
+            for &u in &self.active {
+                let u = u as usize;
+                let f = std::mem::take(&mut self.frontier[u]);
+                for &w in &targets[offsets[u] as usize..offsets[u + 1] as usize] {
+                    let w = w.index();
+                    let new = f & !self.seen[w];
+                    if new != 0 {
+                        if self.next[w] == 0 {
+                            self.next_active.push(w as u32);
+                        }
+                        self.next[w] |= new;
+                        self.seen[w] |= new;
+                    }
+                }
+            }
+            if self.next_active.is_empty() {
+                return level;
+            }
+            level += 1;
+            std::mem::swap(&mut self.frontier, &mut self.next);
+            std::mem::swap(&mut self.active, &mut self.next_active);
+            self.next_active.clear();
+        }
+    }
+}
+
 /// Diameter with automatic strategy: exact all-pairs for small graphs,
 /// iFUB for larger connected ones.
 pub fn diameter(g: &Graph) -> u32 {
     if g.n() <= 1024 || !is_connected(g) {
         diameter_exact(g)
     } else {
-        diameter_ifub(g)
+        ifub(g)
     }
 }
 

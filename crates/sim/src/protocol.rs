@@ -108,12 +108,15 @@ pub struct NetInfo {
 
 impl NetInfo {
     /// Above this node count, [`NetInfo::exact`] switches from the exact /
-    /// iFUB diameter to the 3-BFS double-sweep bound: exact all-pairs BFS is
-    /// `O(n·m)` and even iFUB can degenerate to many sweeps, which would let
-    /// *setup* dominate million-node runs whose simulation is otherwise
-    /// near-linear. The double sweep is exact on the tree/path/grid families
-    /// and always within a factor 2, which the paper's "estimates within a
-    /// constant factor" model explicitly tolerates.
+    /// iFUB diameter to the 3-BFS double-sweep bound. Even with 64 sources
+    /// per BFS pass, iFUB's worst case (every eccentricity equal, as on the
+    /// hypercube) sweeps from about half the nodes, which is quadratic in
+    /// `n` and would let *setup* dominate million-node runs whose
+    /// simulation is otherwise near-linear. The double sweep is exact on the
+    /// tree/path/grid families and always within a factor 2, which the
+    /// paper's "estimates within a constant factor" model explicitly
+    /// tolerates. The threshold itself is part of the reported numbers:
+    /// moving it can change the `D` that reports carry.
     pub const EXACT_DIAMETER_MAX_N: usize = 32_768;
 
     /// Builds exact network information from a graph — the harness's default
